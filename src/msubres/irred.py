@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .polyring import Polynomial, divides as poly_divides
+from .polyring import Polynomial, _line_image
 
 PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079)
 _MAX_LINES = 3
@@ -35,24 +35,26 @@ class Verdict:
         return self.kind == "reducible"
 
 
-def divides(candidate: Polynomial, p: Polynomial) -> bool:
-    """Exact multivariate division test over the rationals."""
-    return poly_divides(candidate, p)
-
-
 # -- power form -------------------------------------------------------------
 
 
 def _iroot(c: int, k: int) -> Optional[int]:
+    """Exact integer k-th root of c, or None; no floating point."""
     if c < 0:
         return None
-    if c in (0, 1):
-        return c
-    r = round(c ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == c:
-            return cand
-    return None
+    if k == 2:
+        r = math.isqrt(c)
+    elif c < 2:
+        r = c
+    else:
+        # Newton from above: the iterates decrease to floor(c^(1/k))
+        r = 1 << -(-c.bit_length() // k)
+        while True:
+            nxt = ((k - 1) * r + c // r ** (k - 1)) // k
+            if nxt >= r:
+                break
+            r = nxt
+    return r if r**k == c else None
 
 
 def _kth_root(p: Polynomial, k: int) -> Optional[Polynomial]:
@@ -264,8 +266,6 @@ def _achievable_sums(pattern: list[int], total: int) -> frozenset[int]:
 
 def _restrict_to_line(p: Polynomial, rng: random.Random) -> Optional[list[int]]:
     """Integer coefficient list of p along x_i = a_i t + b_i, or None on drop."""
-    from .polyring import _line_image  # shared helper
-
     lines = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(p.universe.n)]
     if all(a == 0 for a, _ in lines):
         return None

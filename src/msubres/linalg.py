@@ -1,10 +1,11 @@
 """Exact dense linear algebra over ZZ[vars] and QQ.
 
-Provides fraction-free determinants, rational rank/kernel computations, and
-the gcd of maximal minors that realizes subresultants.  Matrices whose
-entries are single coefficient variables (the multiplication-map case) go
-through a packed-exponent dynamic program that produces all maximal minors
-in one sweep.
+Provides fraction-free Bareiss determinants, rational rank/kernel
+computations (through the shared elimination in ``rref``), and the gcd of
+maximal minors that realizes subresultants.  Matrices whose entries are all
+0 or +-one variable (every deleted Macaulay matrix) go through a
+packed-exponent sweep that yields all maximal minors at once, whatever the
+shape; every other matrix goes through Bareiss.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .polyring import (
     exact_divide,
     gcd_multivariate,
 )
+from .rref import kernel, rref
 
 Entry = Union[int, Fraction, Polynomial]
 
@@ -42,29 +44,20 @@ _PRECHECK_SEED = 0xBA2E155
 
 
 class ExactMatrix:
-    """Rectangular labeled matrix with exact scalar or polynomial entries."""
+    """Rectangular matrix with exact scalar or polynomial entries."""
 
-    __slots__ = ("entries", "row_labels", "col_labels", "universe")
+    __slots__ = ("entries", "universe")
 
     def __init__(
         self,
         entries: Sequence[Sequence[Entry]],
-        row_labels: Optional[Sequence] = None,
-        col_labels: Optional[Sequence] = None,
         universe: Optional[VarUniverse] = None,
     ):
         self.entries = [list(row) for row in entries]
-        nrows = len(self.entries)
-        ncols = len(self.entries[0]) if nrows else 0
+        ncols = len(self.entries[0]) if self.entries else 0
         for row in self.entries:
             if len(row) != ncols:
                 raise ValueError("ragged matrix")
-        self.row_labels = list(row_labels) if row_labels is not None else list(range(nrows))
-        self.col_labels = list(col_labels) if col_labels is not None else list(range(ncols))
-        if len(self.row_labels) != nrows or len(set(map(repr, self.row_labels))) != nrows:
-            raise ValueError("row labels must be unique and match the row count")
-        if len(self.col_labels) != ncols or len(set(map(repr, self.col_labels))) != ncols:
-            raise ValueError("column labels must be unique and match the column count")
         if universe is None:
             for row in self.entries:
                 for e in row:
@@ -95,17 +88,8 @@ class ExactMatrix:
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "ExactMatrix":
         return ExactMatrix(
-            [[self.entries[i][j] for j in cols] for i in rows],
-            row_labels=[self.row_labels[i] for i in rows],
-            col_labels=[self.col_labels[j] for j in cols],
-            universe=self.universe,
+            [[self.entries[i][j] for j in cols] for i in rows], universe=self.universe
         )
-
-
-def _entry_is_zero(e: Entry) -> bool:
-    if isinstance(e, Polynomial):
-        return e.is_zero()
-    return e == 0
 
 
 def _to_poly(e: Entry, universe: VarUniverse) -> Polynomial:
@@ -180,52 +164,17 @@ def bareiss_determinant(m: ExactMatrix) -> Entry:
     return det if sign == 1 else -det
 
 
-def cofactor_determinant(m: ExactMatrix) -> Entry:
-    """Expansion determinant with memoization over column subsets (oracle)."""
-    if m.nrows != m.ncols:
-        raise NonSquareError(f"matrix is {m.nrows}x{m.ncols}")
-    n = m.nrows
-    if n == 0:
-        return 1
-    universe = m.universe
-    scalar = m.is_scalar()
-
-    def zero():
-        return 0 if scalar else Polynomial.zero(universe)
-
-    memo = {0: 1 if scalar else Polynomial.constant(universe, 1)}
-    # level k: subsets of k used columns, minors of the first k rows
-    for k in range(n):
-        new: dict[int, Entry] = {}
-        for mask, val in memo.items():
-            if _entry_is_zero(val):
-                continue
-            seen = 0
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    seen += 1
-                    continue
-                e = m.entries[k][j]
-                if _entry_is_zero(e):
-                    continue
-                # new inversions: used columns above j, i.e. k - seen of them
-                contrib = val * e if (k - seen) % 2 == 0 else -(val * e)
-                key = mask | bit
-                acc = new.get(key)
-                new[key] = contrib if acc is None else acc + contrib
-        memo = new
-        if not memo:
-            return zero()
-    return memo.get((1 << n) - 1, zero())
-
-
-# -- packed single-variable fast path ---------------------------------------
+# -- packed single-variable sweep -------------------------------------------
 
 
 def _single_var_codes(m: ExactMatrix) -> Optional[list[list]]:
-    """Per-entry (var_index, sign) when every entry is 0 or +-variable."""
+    """Per-entry (var_index, sign) when every entry is 0 or +-variable.
+
+    None otherwise, and also when no entry is a variable, so that scalar
+    matrices keep their scalar determinant.
+    """
     out = []
+    seen_var = False
     for row in m.entries:
         orow = []
         for e in row:
@@ -243,18 +192,23 @@ def _single_var_codes(m: ExactMatrix) -> Optional[list[list]]:
             if sum(exp) != 1 or c not in (1, -1):
                 return None
             orow.append((exp.index(1), c))
+            seen_var = True
         out.append(orow)
-    return out
+    return out if seen_var else None
 
 
-def _packed_minors(m: ExactMatrix):
-    """All maximal minors for an r x c matrix with single-variable entries.
+def _packed_minors(m: ExactMatrix) -> Optional[dict[tuple[int, ...], Polynomial]]:
+    """All maximal minors of an r x c matrix with 0/+-variable entries.
 
-    Returns {frozenset(columns): Polynomial}.  Only used for c - r <= 1;
-    larger gaps go through per-subset determinants.
+    One sweep over the rows expands every minor at once: the state after k
+    rows maps each set of k used columns to the signed sum of products over
+    the ways of placing the first k rows in them.  Returns
+    {sorted column tuple: minor}, leaving out the minors that vanish, or
+    None when some entry is not 0 or +-variable.
     """
     codes = _single_var_codes(m)
-    assert codes is not None
+    if codes is None:
+        return None
     r, c = m.nrows, m.ncols
     universe = m.universe
     nvars = universe.n
@@ -274,8 +228,9 @@ def _packed_minors(m: ExactMatrix):
                 bit = 1 << j
                 if mask & bit:
                     continue
-                par = bin(mask & (bit - 1)).count("1")
-                s = sgn if par % 2 == 0 else -sgn
+                # placing row k in column j adds one inversion per used
+                # column to its right
+                s = -sgn if (mask >> (j + 1)).bit_count() % 2 else sgn
                 shift = pack(var)
                 key = mask | bit
                 acc = new.get(key)
@@ -298,7 +253,7 @@ def _packed_minors(m: ExactMatrix):
                             acc[mk] = v
                         else:
                             del acc[mk]
-        states = new
+        states = {mask: poly for mask, poly in new.items() if poly}
         if not states:
             break
 
@@ -313,34 +268,23 @@ def _packed_minors(m: ExactMatrix):
             i += 1
         return tuple(exp)
 
-    out = {}
-    for mask, poly in states.items():
-        cols = frozenset(j for j in range(c) if mask & (1 << j))
-        p = Polynomial(universe, {unpack(mono): cf for mono, cf in poly.items()})
-        # global column indexing counts crossings with omitted columns once
-        # per pick above them; correct the parity per omitted column
-        omitted = [j for j in range(c) if j not in cols]
-        flips = sum(len([x for x in cols if x > j]) for j in omitted)
-        if flips % 2:
-            p = -p
-        out[cols] = p
-    return out
+    return {
+        tuple(j for j in range(c) if mask >> j & 1): Polynomial(
+            universe, {unpack(mono): cf for mono, cf in poly.items()}
+        )
+        for mask, poly in states.items()
+    }
 
 
 def determinant(m: ExactMatrix) -> Entry:
-    """Determinant with method dispatch: scalars and symbolic matrices."""
+    """Packed sweep for 0/+-variable entries, Bareiss otherwise."""
     if m.nrows != m.ncols:
         raise NonSquareError(f"matrix is {m.nrows}x{m.ncols}")
-    if m.is_scalar() or m.nrows <= 4:
+    packed = _packed_minors(m)
+    if packed is None:
         return bareiss_determinant(m)
-    if _single_var_codes(m) is not None:
-        minors = _packed_minors(m)
-        # a structurally zero determinant never reaches the full column mask
-        full = frozenset(range(m.ncols))
-        return minors.get(full, Polynomial.zero(m.universe))
-    if m.nrows <= 8:
-        return cofactor_determinant(m)
-    return bareiss_determinant(m)
+    # the sweep leaves out vanishing minors
+    return packed.get(tuple(range(m.ncols)), Polynomial.zero(m.universe))
 
 
 # -- rational rank and kernel ----------------------------------------------
@@ -351,40 +295,9 @@ def _require_scalar(m: ExactMatrix):
         raise SymbolicEntryError("operation requires constant rational entries")
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def rank_over_Q(m: ExactMatrix) -> int:
     _require_scalar(m)
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    rows = [[Fraction(e) for e in row] for row in m.entries]
-    _, pivots = _rref(rows)
+    _, pivots = rref(m.entries)
     return len(pivots)
 
 
@@ -395,21 +308,8 @@ def kernel_basis_over_Q(m: ExactMatrix) -> list[list[int]]:
     the result deterministic.
     """
     _require_scalar(m)
-    ncols = m.ncols
-    if ncols == 0:
-        return []
-    if m.nrows == 0:
-        rows = [[Fraction(0)] * ncols]
-    else:
-        rows = [[Fraction(e) for e in row] for row in m.entries]
-    red, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -red[ri][fc]
+    for vec in kernel(m.entries, m.ncols):
         den = 1
         for v in vec:
             den = den * v.denominator // math.gcd(den, v.denominator)
@@ -430,15 +330,11 @@ def _generic_rank_precheck(m: ExactMatrix, rng: random.Random) -> bool:
         return rank_over_Q(m) == m.nrows
     universe = m.universe
     point = {name: rng.randint(-10**6, 10**6) for name in universe.names}
-    rows = []
-    for row in m.entries:
-        rows.append(
-            [
-                Fraction(e.evaluate(point)) if isinstance(e, Polynomial) else Fraction(e)
-                for e in row
-            ]
-        )
-    _, pivots = _rref(rows)
+    rows = [
+        [e.evaluate(point) if isinstance(e, Polynomial) else e for e in row]
+        for row in m.entries
+    ]
+    _, pivots = rref(rows)
     return len(pivots) == m.nrows
 
 
@@ -446,8 +342,13 @@ def _is_unit(p: Polynomial) -> bool:
     return p.is_constant() and abs(p.constant_value()) == 1
 
 
-def gcd_of_maximal_minors(m: ExactMatrix, precheck: bool = True) -> Polynomial:
-    """Sign-normalized gcd of all (nrows x nrows) minors, content retained."""
+def gcd_of_maximal_minors(m: ExactMatrix) -> Polynomial:
+    """Sign-normalized gcd of all (nrows x nrows) minors, content retained.
+
+    A matrix with 0/+-variable entries (every deleted Macaulay matrix) gets
+    all its minors from one packed sweep; any other matrix gets one
+    Bareiss determinant per column subset.
+    """
     r, c = m.nrows, m.ncols
     if r > c:
         raise ValueError("need rows <= columns")
@@ -457,29 +358,27 @@ def gcd_of_maximal_minors(m: ExactMatrix, precheck: bool = True) -> Polynomial:
     one = Polynomial.constant(universe, 1)
     if r == 0:
         return one
-    if precheck and not _generic_rank_precheck(m, random.Random(_PRECHECK_SEED)):
+    if not _generic_rank_precheck(m, random.Random(_PRECHECK_SEED)):
         raise GenericRankError("matrix is rank deficient at a random specialization")
 
-    minors: list[Polynomial]
-    if c - r <= 1 and _single_var_codes(m) is not None and r >= 5:
-        packed = _packed_minors(m)
-        keys = sorted(packed, key=lambda cols: tuple(sorted(cols)))
-        minors = [packed[k] for k in keys]
+    packed = _packed_minors(m)
+    if packed is not None:
+        minors = [packed[cols] for cols in sorted(packed)]
     else:
-        minors = []
-        for cols in combinations(range(c), r):
-            sub = m.submatrix(range(r), cols)
-            minors.append(_to_poly(determinant(sub), universe))
+        minors = [
+            _to_poly(bareiss_determinant(m.submatrix(range(r), cols)), universe)
+            for cols in combinations(range(c), r)
+        ]
 
     g = Polynomial.zero(universe)
     for minor in minors:
         if minor.is_zero():
             continue
-        if not g.is_zero() and divide_qq(minor, g) is not None:
-            # the running gcd already divides this minor over QQ; refine the
-            # integer part only
+        if not g.is_zero():
+            # the running gcd already divides this minor with an integer
+            # quotient: the minor cannot refine it
             quo = divide_qq(minor, g)
-            if all(isinstance(cf, int) or cf.denominator == 1 for cf in quo.terms.values()):
+            if quo is not None and all(cf.denominator == 1 for cf in quo.terms.values()):
                 continue
         g = gcd_multivariate(g, minor)
         if _is_unit(g):

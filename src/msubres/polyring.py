@@ -17,6 +17,8 @@ import random
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
+from .rref import kernel
+
 Coeff = Union[int, Fraction]
 
 
@@ -663,44 +665,6 @@ def _monomials_with_group_degrees(
     return out
 
 
-def _small_rational_kernel(rows: list[list]) -> list[list[Fraction]]:
-    """Right-kernel basis of a small dense rational matrix (local helper)."""
-    if not rows:
-        return []
-    m = [[Fraction(c) for c in row] for row in rows]
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -m[ri][fc]
-        basis.append(vec)
-    return basis
-
-
 def _interp_gcd(
     p: Polynomial, q: Polynomial, gcd_degree: int, rng: random.Random
 ) -> Optional[Polynomial]:
@@ -764,7 +728,7 @@ def _interp_gcd(
             # p * B - q * A = 0 with A ~ p/g, B ~ q/g
             row = [pv * mono_val(e) for e in basis_b] + [-qv * mono_val(e) for e in basis_a]
             rows.append(row)
-        kern = _small_rational_kernel(rows)
+        kern = kernel(rows, nunk)
         if len(kern) != 1:
             continue
         vec = kern[0]

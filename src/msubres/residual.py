@@ -19,7 +19,13 @@ from typing import Optional, Sequence
 from .hilbert import DegreeVector, a_value, thresholds
 from .linalg import ExactMatrix, kernel_basis_over_Q, rank_over_Q
 from .polyring import Polynomial, VarUniverse, monomials_of_degree, poly_to_doc
-from .subres import GenericSystem, MonomialSet, specialize_delta, subresultant
+from .subres import (
+    GenericSystem,
+    MonomialSet,
+    multiplication_matrix,
+    specialize_delta,
+    subresultant,
+)
 
 
 class PointGenerationError(RuntimeError):
@@ -116,7 +122,7 @@ def _evaluation_matrix(ps: PointSet, t: int) -> ExactMatrix:
                     v *= c**e
             row.append(v)
         rows.append(row)
-    return ExactMatrix(rows, row_labels=list(range(len(rows))), col_labels=monos)
+    return ExactMatrix(rows)
 
 
 def generic_position_certificate(
@@ -333,23 +339,7 @@ def residual_resultant(
 
 def _multiplication_rank(dv: DegreeVector, qs: Sequence[Polynomial], t: int) -> int:
     """Rank of the degree-t part of the ideal generated by qs."""
-    n = dv.n
-    monos = monomials_of_degree(n, t)
-    pos = {m: i for i, m in enumerate(monos)}
-    cols = []
-    for q, d in zip(qs, dv.degrees):
-        if t - d < 0 or q.is_zero():
-            continue
-        for mprime in monomials_of_degree(n, t - d):
-            col = [Fraction(0)] * len(monos)
-            for exp, c in q.terms.items():
-                key = tuple(e + mp for e, mp in zip(exp, mprime))
-                col[pos[key]] += Fraction(c)
-            cols.append(col)
-    if not cols:
-        return 0
-    mat = ExactMatrix([[cols[j][i] for j in range(len(cols))] for i in range(len(monos))])
-    return rank_over_Q(mat)
+    return rank_over_Q(ExactMatrix(multiplication_matrix(dv.n, zip(qs, dv.degrees), t)))
 
 
 def ideal_hilbert_value(dv: DegreeVector, qs: Sequence[Polynomial], t: int) -> int:
@@ -360,28 +350,12 @@ def ideal_hilbert_value(dv: DegreeVector, qs: Sequence[Polynomial], t: int) -> i
 
 def _in_ideal_span(ideal: PointsIdeal, q: Polynomial, d: int) -> bool:
     """Is q inside the degree-d part of the ideal generated by the g_j?"""
-    n = ideal.points.n
-    monos = monomials_of_degree(n, d)
-    pos = {m: i for i, m in enumerate(monos)}
-    cols = []
-    for g in ideal.generators:
-        extra = d - ideal.degree
-        if extra < 0:
-            return q.is_zero()
-        for mprime in monomials_of_degree(n, extra):
-            col = [Fraction(0)] * len(monos)
-            for exp, c in g.terms.items():
-                key = tuple(e + mp for e, mp in zip(exp, mprime))
-                col[pos[key]] += Fraction(c)
-            cols.append(col)
-    qcol = [Fraction(0)] * len(monos)
-    for exp, c in q.terms.items():
-        qcol[pos[tuple(exp)]] += Fraction(c)
-    base = ExactMatrix([[cols[j][i] for j in range(len(cols))] for i in range(len(monos))])
-    ext = ExactMatrix(
-        [[cols[j][i] for j in range(len(cols))] + [qcol[i]] for i in range(len(monos))]
-    )
-    return rank_over_Q(base) == rank_over_Q(ext)
+    if d < ideal.degree:
+        return q.is_zero()
+    forms = [(g, ideal.degree) for g in ideal.generators]
+    ext = multiplication_matrix(ideal.points.n, forms + [(q, d)], d)
+    base = [row[:-1] for row in ext]
+    return rank_over_Q(ExactMatrix(base)) == rank_over_Q(ExactMatrix(ext))
 
 
 @dataclass(frozen=True)

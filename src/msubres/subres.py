@@ -135,15 +135,32 @@ def build_macaulay_map(sys: GenericSystem, nu: int) -> MacaulayMap:
             m = tuple(a + b for a, b in zip(alpha, mprime))
             var = Polynomial.variable(sys.universe, sys.coefficient_name(i, alpha))
             entries[row_pos[m]][ci] = var
-    matrix = ExactMatrix(
-        entries,
-        row_labels=list(rows),
-        col_labels=list(col_blocks),
-        universe=sys.universe,
-    )
     return MacaulayMap(
-        nu=nu, matrix=matrix, row_monomials=tuple(rows), col_blocks=tuple(col_blocks)
+        nu=nu,
+        matrix=ExactMatrix(entries, universe=sys.universe),
+        row_monomials=tuple(rows),
+        col_blocks=tuple(col_blocks),
     )
+
+
+def multiplication_matrix(
+    n: int, forms: Iterable[tuple[Polynomial, int]], t: int
+) -> list[list[Fraction]]:
+    """Concrete degree-t multiplication matrix of forms (q, d) in x1..xn.
+
+    Rows are the degree-t monomials, grevlex descending; each form q of
+    degree d contributes one column per degree-(t - d) multiplier m', in
+    the same order as the columns of ``build_macaulay_map``, holding the
+    coefficients of m' * q.  Only the first n exponents of q are read.
+    """
+    rows = monomials_of_degree(n, t)
+    row_pos = {m: i for i, m in enumerate(rows)}
+    cols = [(q, mprime) for q, d in forms for mprime in monomials_of_degree(n, t - d)]
+    mat = [[Fraction(0)] * len(cols) for _ in rows]
+    for j, (q, mprime) in enumerate(cols):
+        for exp, c in q.terms.items():
+            mat[row_pos[tuple(e + m for e, m in zip(exp, mprime))]][j] += c
+    return mat
 
 
 def validate_S(
@@ -313,28 +330,13 @@ def universal_property_check(
     """True iff span{m' * Q_i} + span(S) is the whole degree-nu space."""
     if len(specialization) != sys.n:
         raise ValueError("need one polynomial per input slot")
-    n = sys.n
-    rows = x_monomials(sys, nu)
-    row_pos = {m: i for i, m in enumerate(rows)}
-    cols: list[list[Fraction]] = []
-    for i, (q, d) in enumerate(zip(specialization, sys.dv.degrees)):
+    forms = list(zip(specialization, sys.dv.degrees))
+    for q, d in forms:
         _check_homogeneous(q, d)
-        if nu - d < 0:
-            continue
-        for mprime in monomials_of_degree(n, nu - d):
-            col = [Fraction(0)] * len(rows)
-            for exp, c in q.terms.items():
-                xexp = tuple(exp[j] + mprime[j] for j in range(n))
-                col[row_pos[xexp]] += Fraction(c)
-            cols.append(col)
-    for m in S.monomials:
-        col = [Fraction(0)] * len(rows)
-        col[row_pos[m]] = Fraction(1)
-        cols.append(col)
-    if not cols:
-        return len(rows) == 0
-    mat = ExactMatrix([[cols[j][i] for j in range(len(cols))] for i in range(len(rows))])
-    return rank_over_Q(mat) == len(rows)
+    mat = multiplication_matrix(sys.n, forms, nu)
+    for row, m in zip(mat, x_monomials(sys, nu)):
+        row.extend(Fraction(int(m == s)) for s in S.monomials)
+    return rank_over_Q(ExactMatrix(mat)) == len(mat)
 
 
 def enumerate_S(

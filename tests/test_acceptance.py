@@ -20,8 +20,8 @@ from msubres.hilbert import (
     hilbert_value,
     ses_identity_check,
 )
-from msubres.irred import divides, irreducibility_verdict
-from msubres.polyring import Polynomial, monomials_of_degree
+from msubres.irred import irreducibility_verdict
+from msubres.polyring import Polynomial, divides, monomials_of_degree
 from msubres.residual import (
     implication_chain_check,
     points_ideal_with_retries,

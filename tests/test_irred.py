@@ -4,11 +4,10 @@ import pytest
 
 from msubres.irred import (
     degree_pattern,
-    divides,
     irreducibility_verdict,
     power_form,
 )
-from msubres.polyring import Polynomial, VarUniverse
+from msubres.polyring import Polynomial, VarUniverse, divides
 from oracles import sympy_factor_degrees, sympy_is_irreducible
 
 U = VarUniverse(["x", "y", "z"], {"g": ["x", "y", "z"]})
@@ -35,6 +34,21 @@ def test_power_form_negative_even_power():
     det = X * Y - Z * Z
     base, k = power_form(-(det**2))
     assert k == 2 and (base == det or base == -det)
+
+
+def test_power_form_huge_coefficients():
+    # integer roots only: 10^400 does not fit a float
+    base, k = power_form((X * 10**200 + Y) ** 2)
+    assert k == 2 and base in (X * 10**200 + Y, -(X * 10**200 + Y))
+
+
+def test_verdict_square_with_coefficient_beyond_float_precision():
+    a = 10**30 + 12345
+    p = (X * a + Y) ** 2
+    base, k = power_form(p)
+    assert k == 2 and base in (X * a + Y, -(X * a + Y))
+    v = irreducibility_verdict(p, seed=1)
+    assert v.is_reducible and divides(v.witness, p)
 
 
 def test_power_form_rejects_constant():

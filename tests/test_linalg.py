@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,8 +8,8 @@ from msubres.linalg import (
     ExactMatrix,
     GenericRankError,
     NonSquareError,
+    _packed_minors,
     bareiss_determinant,
-    cofactor_determinant,
     determinant,
     gcd_of_maximal_minors,
     kernel_basis_over_Q,
@@ -56,7 +57,6 @@ def test_determinant_polynomial_entries():
         ours = determinant(m)
         oracle = permutation_determinant(rows)
         assert ours == oracle
-        assert cofactor_determinant(m) == oracle
         assert bareiss_determinant(m) == oracle
 
 
@@ -146,6 +146,44 @@ def test_gcd_of_maximal_minors_empty():
     assert g.is_constant() and g.constant_value() == 1
 
 
+def test_single_variable_determinant_against_permutation_oracle():
+    # 0/+-variable matrices go through the packed sweep at every size; the
+    # sign of each placement counts the used columns to its right
+    names = [f"v{i}" for i in range(49)]
+    U49 = VarUniverse(names, {"g": names})
+    rng = random.Random(13)
+    for size in (2, 3, 4, 5, 6, 7):
+        picks = iter(rng.sample(names, size * size))
+        # distinct variables and a full diagonal: the determinant is nonzero
+        rows = [
+            [Polynomial.variable(U49, next(picks)) * rng.choice((1, -1))
+             if i == j or rng.random() < 0.7 else Polynomial.zero(U49)
+             for j in range(size)]
+            for i in range(size)
+        ]
+        oracle = permutation_determinant(rows)
+        assert not oracle.is_zero()
+        assert determinant(ExactMatrix(rows, universe=U49)) == oracle, size
+
+
+def test_packed_minors_match_bareiss_on_wide_deleted_matrix():
+    # (4,1,1), nu=3: 9 x 12, 220 maximal minors, from one sweep
+    from msubres.subres import build_generic_system, deleted_matrix, enumerate_S
+
+    sys_ = build_generic_system(3, (4, 1, 1))
+    S = enumerate_S(sys_, 3, limit=1, seed=1)[0]
+    m = deleted_matrix(sys_, 3, S)
+    assert (m.nrows, m.ncols) == (9, 12)
+    packed = {tuple(sorted(cols)): p for cols, p in _packed_minors(m).items()}
+    zero = Polynomial.zero(sys_.universe)
+    nonzero = 0
+    for cols in combinations(range(m.ncols), m.nrows):
+        expect = bareiss_determinant(m.submatrix(range(m.nrows), cols))
+        assert packed.get(cols, zero) == expect, cols
+        nonzero += not expect.is_zero()
+    assert nonzero > 0
+
+
 def test_packed_vs_cofactor_on_macaulay_shape():
     # r x (r+1) matrix whose entries are single variables or zero exercises
     # the packed all-minors path against plain determinants
@@ -184,8 +222,8 @@ def test_structurally_zero_single_var_determinant():
 
 
 def test_submatrix_and_labels():
-    m = ExactMatrix([[1, 2], [3, 4]], row_labels=["r0", "r1"], col_labels=["c0", "c1"])
+    m = ExactMatrix([[1, 2], [3, 4]])
     s = m.submatrix([1], [0])
     assert s.entries == [[3]]
     with pytest.raises(ValueError):
-        ExactMatrix([[1, 2], [3, 4]], row_labels=["x", "x"])
+        ExactMatrix([[1, 2], [3]])
