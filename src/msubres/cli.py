@@ -164,9 +164,7 @@ def _run_case(cfg: SweepConfig, dv: DegreeVector, nu: int) -> dict:
         elif res.delta.is_constant():
             entry["verdict"] = "unit"
         else:
-            v = irreducibility_verdict(
-                res.delta.content_and_primitive().primitive, seed
-            )
+            v = irreducibility_verdict(res.primitive, seed)
             entry["verdict"] = v.kind
             entry["verdict_reason"] = v.reason
             if v.witness is not None:
@@ -453,10 +451,8 @@ def cmd_residual(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,6 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-mode", choices=("exhaustive", "sample"), default="sample")
     p.add_argument("--s-limit", type=int, default=5)
     p.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--seed", type=int, default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -494,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degrees", required=True)
     p.add_argument("--nu", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_residual)
     return ap

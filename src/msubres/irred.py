@@ -278,10 +278,11 @@ def _restrict_to_line(p: Polynomial, rng: random.Random) -> Optional[list[int]]:
 def irreducibility_verdict(p: Polynomial, seed: int) -> Verdict:
     if p.is_zero() or p.is_constant():
         raise ValueError("verdict requires a nonconstant polynomial")
-    cont, prim, _sign = p.content_and_primitive()
-    if cont != 1:
+    # the caller holds the content split: check it, do not redo it
+    coeffs = p.terms.values()
+    if not all(isinstance(c, int) for c in coeffs) or math.gcd(*coeffs) != 1:
         raise ValueError("caller must strip integer content first")
-    p = prim
+    p = p.sign_normalized()
 
     base, k = power_form(p)
     if k >= 2:

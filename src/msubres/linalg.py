@@ -1,46 +1,30 @@
 """Exact dense linear algebra over ZZ[vars] and QQ.
 
-Provides fraction-free Bareiss determinants, rational rank/kernel
-computations (through the shared elimination in ``rref``), and the gcd of
-maximal minors that realizes subresultants.  Matrices whose entries are all
-0 or +-one variable (every deleted Macaulay matrix) go through a
-packed-exponent sweep that yields all maximal minors at once, whatever the
-shape; every other matrix goes through Bareiss.
+Provides rational rank/kernel computations (through the shared elimination
+in ``rref``) and the gcd of maximal minors that realizes subresultants.
+The minors come from one packed-exponent sweep that yields all maximal
+minors at once, whatever the shape; it takes matrices whose entries are all
+0 or +-one variable, which every deleted Macaulay matrix is.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .polyring import (
-    Polynomial,
-    VarUniverse,
-    divide_qq,
-    exact_divide,
-    gcd_multivariate,
-)
+from .polyring import Polynomial, VarUniverse, divide_qq, gcd_multivariate
 from .rref import kernel, rref
 
 Entry = Union[int, Fraction, Polynomial]
 
 
-class NonSquareError(ValueError):
-    pass
-
-
 class SymbolicEntryError(TypeError):
-    pass
+    """An entry is of a kind the operation does not take."""
 
 
 class GenericRankError(ArithmeticError):
-    """The matrix is rank deficient even for random specializations."""
-
-
-_PRECHECK_SEED = 0xBA2E155
+    """Every maximal minor vanishes identically: the packed sweep found none."""
 
 
 class ExactMatrix:
@@ -92,89 +76,15 @@ class ExactMatrix:
         )
 
 
-def _to_poly(e: Entry, universe: VarUniverse) -> Polynomial:
-    if isinstance(e, Polynomial):
-        return e
-    return Polynomial.constant(universe, e)
-
-
-# -- determinants -----------------------------------------------------------
-
-
-def _det_scalar_bareiss(rows: list[list]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(e) for e in row] for row in rows]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def bareiss_determinant(m: ExactMatrix) -> Entry:
-    """Exact determinant by two-step fraction-free elimination."""
-    if m.nrows != m.ncols:
-        raise NonSquareError(f"matrix is {m.nrows}x{m.ncols}")
-    n = m.nrows
-    if m.is_scalar():
-        d = _det_scalar_bareiss(m.entries)
-        return int(d) if d.denominator == 1 else d
-    universe = m.universe
-    if n == 0:
-        return 1
-    rows = [[_to_poly(e, universe) for e in row] for row in m.entries]
-    sign = 1
-    prev = Polynomial.constant(universe, 1)
-    for k in range(n - 1):
-        if rows[k][k].is_zero():
-            pivot_row = None
-            best = None
-            for i in range(k + 1, n):
-                if not rows[i][k].is_zero():
-                    size = len(rows[i][k])
-                    if best is None or size < best:
-                        best = size
-                        pivot_row = i
-            if pivot_row is None:
-                return Polynomial.zero(universe)
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        piv = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[i][j] * piv - rows[i][k] * rows[k][j]
-                rows[i][j] = exact_divide(num, prev) if not prev.is_constant() or prev.constant_value() != 1 else num
-            rows[i][k] = Polynomial.zero(universe)
-        prev = piv
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 # -- packed single-variable sweep -------------------------------------------
 
 
-def _single_var_codes(m: ExactMatrix) -> Optional[list[list]]:
-    """Per-entry (var_index, sign) when every entry is 0 or +-variable.
+def _single_var_codes(m: ExactMatrix) -> list[list]:
+    """Per-entry (var_index, sign), or None for a zero entry.
 
-    None otherwise, and also when no entry is a variable, so that scalar
-    matrices keep their scalar determinant.
+    Raises SymbolicEntryError unless every entry is 0 or +-one variable.
     """
     out = []
-    seen_var = False
     for row in m.entries:
         orow = []
         for e in row:
@@ -182,33 +92,28 @@ def _single_var_codes(m: ExactMatrix) -> Optional[list[list]]:
                 if e == 0:
                     orow.append(None)
                     continue
-                return None
+                raise SymbolicEntryError(f"entry {e!r} is not 0 or +-one variable")
             if e.is_zero():
                 orow.append(None)
                 continue
-            if len(e.terms) != 1:
-                return None
             exp, c = next(iter(e.terms.items()))
-            if sum(exp) != 1 or c not in (1, -1):
-                return None
+            if len(e.terms) != 1 or sum(exp) != 1 or c not in (1, -1):
+                raise SymbolicEntryError(f"entry {e} is not 0 or +-one variable")
             orow.append((exp.index(1), c))
-            seen_var = True
         out.append(orow)
-    return out if seen_var else None
+    return out
 
 
-def _packed_minors(m: ExactMatrix) -> Optional[dict[tuple[int, ...], Polynomial]]:
+def _packed_minors(m: ExactMatrix) -> dict[tuple[int, ...], Polynomial]:
     """All maximal minors of an r x c matrix with 0/+-variable entries.
 
     One sweep over the rows expands every minor at once: the state after k
     rows maps each set of k used columns to the signed sum of products over
     the ways of placing the first k rows in them.  Returns
-    {sorted column tuple: minor}, leaving out the minors that vanish, or
-    None when some entry is not 0 or +-variable.
+    {sorted column tuple: minor}, leaving out the minors that vanish.
+    Raises SymbolicEntryError when some entry is not 0 or +-variable.
     """
     codes = _single_var_codes(m)
-    if codes is None:
-        return None
     r, c = m.nrows, m.ncols
     universe = m.universe
     nvars = universe.n
@@ -276,17 +181,6 @@ def _packed_minors(m: ExactMatrix) -> Optional[dict[tuple[int, ...], Polynomial]
     }
 
 
-def determinant(m: ExactMatrix) -> Entry:
-    """Packed sweep for 0/+-variable entries, Bareiss otherwise."""
-    if m.nrows != m.ncols:
-        raise NonSquareError(f"matrix is {m.nrows}x{m.ncols}")
-    packed = _packed_minors(m)
-    if packed is None:
-        return bareiss_determinant(m)
-    # the sweep leaves out vanishing minors
-    return packed.get(tuple(range(m.ncols)), Polynomial.zero(m.universe))
-
-
 # -- rational rank and kernel ----------------------------------------------
 
 
@@ -324,20 +218,6 @@ def kernel_basis_over_Q(m: ExactMatrix) -> list[list[int]]:
 # -- gcd of maximal minors --------------------------------------------------
 
 
-def _generic_rank_precheck(m: ExactMatrix, rng: random.Random) -> bool:
-    """Rational rank at one random integer specialization of all variables."""
-    if m.is_scalar():
-        return rank_over_Q(m) == m.nrows
-    universe = m.universe
-    point = {name: rng.randint(-10**6, 10**6) for name in universe.names}
-    rows = [
-        [e.evaluate(point) if isinstance(e, Polynomial) else e for e in row]
-        for row in m.entries
-    ]
-    _, pivots = rref(rows)
-    return len(pivots) == m.nrows
-
-
 def _is_unit(p: Polynomial) -> bool:
     return p.is_constant() and abs(p.constant_value()) == 1
 
@@ -345,9 +225,10 @@ def _is_unit(p: Polynomial) -> bool:
 def gcd_of_maximal_minors(m: ExactMatrix) -> Polynomial:
     """Sign-normalized gcd of all (nrows x nrows) minors, content retained.
 
-    A matrix with 0/+-variable entries (every deleted Macaulay matrix) gets
-    all its minors from one packed sweep; any other matrix gets one
-    Bareiss determinant per column subset.
+    All minors come from one packed sweep, so every entry must be 0 or
+    +-one variable (every deleted Macaulay matrix is); any other matrix
+    raises SymbolicEntryError.  GenericRankError means the sweep proved
+    that every minor vanishes identically.
     """
     r, c = m.nrows, m.ncols
     if r > c:
@@ -355,25 +236,14 @@ def gcd_of_maximal_minors(m: ExactMatrix) -> Polynomial:
     universe = m.universe
     if universe is None:
         raise SymbolicEntryError("gcd of minors is a polynomial operation")
-    one = Polynomial.constant(universe, 1)
     if r == 0:
-        return one
-    if not _generic_rank_precheck(m, random.Random(_PRECHECK_SEED)):
-        raise GenericRankError("matrix is rank deficient at a random specialization")
-
+        return Polynomial.constant(universe, 1)
     packed = _packed_minors(m)
-    if packed is not None:
-        minors = [packed[cols] for cols in sorted(packed)]
-    else:
-        minors = [
-            _to_poly(bareiss_determinant(m.submatrix(range(r), cols)), universe)
-            for cols in combinations(range(c), r)
-        ]
 
     g = Polynomial.zero(universe)
-    for minor in minors:
-        if minor.is_zero():
-            continue
+    # the sweep leaves out the minors that vanish
+    for cols in sorted(packed):
+        minor = packed[cols]
         if not g.is_zero():
             # the running gcd already divides this minor with an integer
             # quotient: the minor cannot refine it

@@ -378,14 +378,16 @@ class Polynomial:
                 pow_cache[key] = got
             return got
 
-        acc = Polynomial.zero(target)
+        # one accumulator dict for all terms; the constructor drops zeros
+        acc: dict[tuple[int, ...], Coeff] = {}
         for exp, c in self.terms.items():
             term = Polynomial.constant(target, c)
             for i, e in enumerate(exp):
                 if e:
                     term = term * power(i, e)
-            acc = acc + term
-        return acc
+            for texp, tc in term.terms.items():
+                acc[texp] = acc.get(texp, 0) + tc
+        return Polynomial(target, acc)
 
     def evaluate(self, point: Mapping[str, Coeff]) -> Coeff:
         """Evaluate at a full scalar assignment (fast path)."""
@@ -766,15 +768,6 @@ def _univariate_parts(p: Polynomial, v: int) -> dict[int, Polynomial]:
         rest = exp[:v] + (0,) + exp[v + 1 :]
         out.setdefault(e, {})[rest] = c
     return {e: Polynomial(p.universe, t) for e, t in out.items()}
-
-
-def _from_parts(universe: VarUniverse, v: int, parts: Mapping[int, Polynomial]) -> Polynomial:
-    terms = {}
-    for e, poly in parts.items():
-        for exp, c in poly.terms.items():
-            full = exp[:v] + (e,) + exp[v + 1 :]
-            terms[full] = terms.get(full, 0) + c
-    return Polynomial(universe, terms)
 
 
 def _poly_content(p: Polynomial, v: int) -> Polynomial:

@@ -79,6 +79,7 @@ class SubresultantResult:
     dv: DegreeVector
     in_range: bool
     is_zero: bool = False
+    primitive: Optional[Polynomial] = None  # of delta; None when delta is zero
 
 
 def build_generic_system(n: int, degrees: Sequence[int]) -> GenericSystem:
@@ -246,13 +247,11 @@ def subresultant(sys: GenericSystem, nu: int, S: MonomialSet) -> SubresultantRes
     mat = deleted_matrix(sys, nu, S)
     if mat.nrows > mat.ncols:
         return _zero_result(sys, nu, S, in_range)
-    if mat.nrows == 0:
-        delta = Polynomial.constant(sys.universe, 1)
-    else:
-        try:
-            delta = gcd_of_maximal_minors(mat)
-        except GenericRankError:
-            return _zero_result(sys, nu, S, in_range)
+    try:
+        delta = gcd_of_maximal_minors(mat)
+    except GenericRankError:
+        # proved: the sweep found every maximal minor identically zero
+        return _zero_result(sys, nu, S, in_range)
     degrees, homogeneous = delta.multidegree_by_group()
     degrees = {g: d for g, d in degrees.items() if g != "x"}
     if not all(homogeneous.values()):
@@ -266,7 +265,7 @@ def subresultant(sys: GenericSystem, nu: int, S: MonomialSet) -> SubresultantRes
                     f"degree in group {sys.coefficient_group(i)} is {got}, "
                     f"formula gives {expect}"
                 )
-    cont, _prim, sign = delta.content_and_primitive()
+    cont, prim, sign = delta.content_and_primitive()
     return SubresultantResult(
         delta=delta,
         multidegrees=degrees,
@@ -276,6 +275,7 @@ def subresultant(sys: GenericSystem, nu: int, S: MonomialSet) -> SubresultantRes
         monomial_set=S,
         dv=dv,
         in_range=in_range,
+        primitive=prim,
     )
 
 

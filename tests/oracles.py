@@ -1,16 +1,20 @@
 """Independent oracles used to pin golden values.
 
 Everything here is deliberately naive: inclusion-exclusion instead of
-series manipulation, permutation expansion instead of elimination, sympy
-instead of the package's own factorization pipeline.  The point is that an
-oracle shares no code path with the implementation it checks.
+series manipulation, permutation expansion and Bareiss elimination instead
+of the packed minors sweep, sympy instead of the package's own
+factorization pipeline.  The point is that an oracle shares no code path
+with the implementation it checks.
 """
 
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import sympy
+
+from msubres.polyring import Polynomial, exact_divide
 
 
 def hilbert_inclusion_exclusion(n, degrees, t):
@@ -45,6 +49,38 @@ def permutation_determinant(rows):
             term = -term
         det = term if det is None else det + term
     return det
+
+
+def bareiss_determinant(rows):
+    """Fraction-free Bareiss elimination: the reference for the packed
+    all-minors sweep.  Entries may be ints, Fractions or Polynomials; every
+    division by the previous pivot is exact."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    poly = next((e for row in rows for e in row if isinstance(e, Polynomial)), None)
+    if poly is None:
+        m = [[Fraction(e) for e in row] for row in rows]
+        divide = operator.truediv
+        prev = Fraction(1)
+    else:
+        m = [[e if isinstance(e, Polynomial) else Polynomial.constant(poly.universe, e)
+              for e in row] for row in rows]
+        divide = exact_divide
+        prev = Polynomial.constant(poly.universe, 1)
+    sign = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:  # a zero column
+                return m[k][k]
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = divide(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+        prev = m[k][k]
+    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
 def sylvester_resultant(p_coeffs, q_coeffs):

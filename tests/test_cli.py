@@ -39,6 +39,20 @@ def test_delta_golden(capsys):
     assert "c1_02*c2_20 - c1_20*c2_02" in out
 
 
+def test_flags_registered_only_where_read(capsys):
+    # --jobs is read by verify alone, --seed by verify and residual
+    delta = ["delta", "--n", "2", "--degrees", "2,2", "--nu", "2", "--S", "x1*x2"]
+    hilbert = ["hilbert", "--n", "2", "--degrees", "3,2", "--t", "0..4"]
+    residual = ["residual", "--n", "2", "--degrees", "3,2", "--nu", "3"]
+    for argv in (delta + ["--jobs", "2"], delta + ["--seed", "1"],
+                 hilbert + ["--jobs", "2"], hilbert + ["--seed", "1"],
+                 residual + ["--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_delta_wrong_cardinality(capsys):
     code = main(["delta", "--n", "2", "--degrees", "4,2", "--nu", "3", "--S", "x2^3"])
     assert code == 2

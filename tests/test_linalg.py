@@ -7,16 +7,14 @@ import pytest
 from msubres.linalg import (
     ExactMatrix,
     GenericRankError,
-    NonSquareError,
+    SymbolicEntryError,
     _packed_minors,
-    bareiss_determinant,
-    determinant,
     gcd_of_maximal_minors,
     kernel_basis_over_Q,
     rank_over_Q,
 )
 from msubres.polyring import Polynomial, VarUniverse, divides
-from oracles import permutation_determinant
+from oracles import bareiss_determinant, permutation_determinant
 
 U = VarUniverse(["a", "b", "c", "d"], {"g": ["a", "b", "c", "d"]})
 
@@ -30,9 +28,7 @@ def test_determinant_int_against_permutation_oracle():
     for size in (1, 2, 3, 4, 5):
         for _ in range(6):
             rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-            m = ExactMatrix([r[:] for r in rows])
-            assert bareiss_determinant(m) == permutation_determinant(rows)
-            assert determinant(m) == permutation_determinant(rows)
+            assert bareiss_determinant(rows) == permutation_determinant(rows)
 
 
 def test_determinant_fraction_entries():
@@ -41,8 +37,7 @@ def test_determinant_fraction_entries():
         [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(3)]
         for _ in range(3)
     ]
-    m = ExactMatrix([r[:] for r in rows])
-    assert determinant(m) == permutation_determinant(rows)
+    assert bareiss_determinant(rows) == permutation_determinant(rows)
 
 
 def test_determinant_polynomial_entries():
@@ -53,21 +48,15 @@ def test_determinant_polynomial_entries():
             [rng.choice(vars_) * rng.randint(1, 3) + rng.randint(-2, 2) for _ in range(3)]
             for _ in range(3)
         ]
-        m = ExactMatrix([r[:] for r in rows], universe=U)
-        ours = determinant(m)
-        oracle = permutation_determinant(rows)
-        assert ours == oracle
-        assert bareiss_determinant(m) == oracle
-
-
-def test_determinant_requires_square():
-    with pytest.raises(NonSquareError):
-        determinant(ExactMatrix([[1, 2, 3], [4, 5, 6]]))
+        assert bareiss_determinant(rows) == permutation_determinant(rows)
 
 
 def test_zero_row_determinant():
-    m = ExactMatrix([[0, 0], [1, 2]])
-    assert determinant(m) == 0
+    a = Polynomial.variable(U, "a")
+    b = Polynomial.variable(U, "b")
+    rows = [[0, 0], [a, -b]]
+    assert _packed_minors(ExactMatrix(rows, universe=U)) == {}
+    assert bareiss_determinant(rows) == 0
 
 
 def test_rank_and_kernel_consistency():
@@ -115,28 +104,27 @@ def test_gcd_of_maximal_minors_square():
 
 
 def test_gcd_of_maximal_minors_common_factor():
-    # both 2x2 minors of [[a, a*b, a*c]; [0, b, c]]-style stacks share factors
-    a = Polynomial.variable(U, "a")
-    b = Polynomial.variable(U, "b")
-    c = Polynomial.variable(U, "c")
-    m = ExactMatrix([[a * b, a * c, a * b], [b, c, c]], universe=U)
-    g = gcd_of_maximal_minors(m)
-    # minors: a(bc - cb)=0 is not the shape here; just verify divisibility
-    for cols in ((0, 1), (0, 2), (1, 2)):
-        minor = determinant(m.submatrix([0, 1], list(cols)))
-        if not minor.is_zero():
-            assert divides(g, minor)
+    # the minors of [[a, b, c], [0, 0, d]] are 0, a*d and b*d: gcd d
+    a, b, c, d = (Polynomial.variable(U, nm) for nm in "abcd")
+    rows = [[a, b, c], [0, 0, d]]
+    m = ExactMatrix(rows, universe=U)
+    assert gcd_of_maximal_minors(m) == d
+    for cols in combinations(range(3), 2):
+        minor = bareiss_determinant([[row[j] for j in cols] for row in rows])
+        assert divides(d, minor)
 
 
 def test_gcd_of_maximal_minors_integer():
+    # scalar entries have no packed sweep: the caller passed the wrong matrix
     m = ExactMatrix([[2, 4, 6], [0, 2, 4]], universe=U)
-    g = gcd_of_maximal_minors(m)
-    # minors: 4, 8, 4 -> gcd 4
-    assert g.is_constant() and abs(g.constant_value()) == 4
+    with pytest.raises(SymbolicEntryError):
+        gcd_of_maximal_minors(m)
 
 
 def test_gcd_of_maximal_minors_rank_deficient():
-    m = ExactMatrix([[1, 2, 3], [2, 4, 6]], universe=U)
+    # two equal rows: every minor cancels to zero, and the sweep proves it
+    a, b, c = (Polynomial.variable(U, nm) for nm in "abc")
+    m = ExactMatrix([[a, b, c], [a, b, c]], universe=U)
     with pytest.raises(GenericRankError):
         gcd_of_maximal_minors(m)
 
@@ -163,7 +151,8 @@ def test_single_variable_determinant_against_permutation_oracle():
         ]
         oracle = permutation_determinant(rows)
         assert not oracle.is_zero()
-        assert determinant(ExactMatrix(rows, universe=U49)) == oracle, size
+        full = tuple(range(size))
+        assert _packed_minors(ExactMatrix(rows, universe=U49))[full] == oracle, size
 
 
 def test_packed_minors_match_bareiss_on_wide_deleted_matrix():
@@ -178,7 +167,7 @@ def test_packed_minors_match_bareiss_on_wide_deleted_matrix():
     zero = Polynomial.zero(sys_.universe)
     nonzero = 0
     for cols in combinations(range(m.ncols), m.nrows):
-        expect = bareiss_determinant(m.submatrix(range(m.nrows), cols))
+        expect = bareiss_determinant(m.submatrix(range(m.nrows), cols).entries)
         assert packed.get(cols, zero) == expect, cols
         nonzero += not expect.is_zero()
     assert nonzero > 0
@@ -199,7 +188,7 @@ def test_packed_vs_cofactor_on_macaulay_shape():
     for omit in range(m.ncols):
         cols = [j for j in range(m.ncols) if j != omit]
         if len(cols) == m.nrows:
-            minors.append(determinant(m.submatrix(rows, cols)))
+            minors.append(bareiss_determinant(m.submatrix(rows, cols).entries))
     for minor in minors:
         if not minor.is_zero():
             assert divides(g, minor)
@@ -218,7 +207,8 @@ def test_structurally_zero_single_var_determinant():
         [z, v["a"], v["b"], v["c"], v["d"]],
     ]
     m = ExactMatrix(rows, universe=U6)
-    assert determinant(m) == Polynomial.zero(U6)
+    assert _packed_minors(m) == {}
+    assert bareiss_determinant(rows) == Polynomial.zero(U6)
 
 
 def test_submatrix_and_labels():
