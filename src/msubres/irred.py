@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .polyring import Polynomial, _line_image
+from .polyring import Polynomial
 
 PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079)
 _MAX_LINES = 3
@@ -262,6 +262,47 @@ def _achievable_sums(pattern: list[int], total: int) -> frozenset[int]:
 
 
 # -- restriction ------------------------------------------------------------
+
+
+def _line_image(p: Polynomial, lines: Sequence[tuple[int, int]]) -> list:
+    """Restrict to x_i = a_i*t + b_i; dense coefficient list in t (ints)."""
+    deg = p.degree()
+    pow_cache: dict[tuple[int, int], list[int]] = {}
+
+    def linpow(i: int, e: int) -> list[int]:
+        key = (i, e)
+        got = pow_cache.get(key)
+        if got is not None:
+            return got
+        a, b = lines[i]
+        cur = [1]
+        for _ in range(e):
+            nxt = [0] * (len(cur) + 1)
+            for j, c in enumerate(cur):
+                nxt[j] += c * b
+                nxt[j + 1] += c * a
+            cur = nxt
+        pow_cache[key] = cur
+        return cur
+
+    out = [0] * (deg + 1)
+    for exp, c in p.terms.items():
+        cur = [c]
+        for i, e in enumerate(exp):
+            if e:
+                pe = linpow(i, e)
+                nxt = [0] * (len(cur) + len(pe) - 1)
+                for j, cj in enumerate(cur):
+                    if cj:
+                        for k, pk in enumerate(pe):
+                            if pk:
+                                nxt[j + k] += cj * pk
+                cur = nxt
+        for j, cj in enumerate(cur):
+            out[j] += cj
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def _restrict_to_line(p: Polynomial, rng: random.Random) -> Optional[list[int]]:

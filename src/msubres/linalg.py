@@ -1,7 +1,7 @@
 """Exact dense linear algebra over ZZ[vars] and QQ.
 
-Provides rational rank/kernel computations (through the shared elimination
-in ``rref``) and the gcd of maximal minors that realizes subresultants.
+Provides rational rank/kernel computations (through one Gauss-Jordan
+elimination) and the gcd of maximal minors that realizes subresultants.
 The minors come from one packed-exponent sweep that yields all maximal
 minors at once, whatever the shape; it takes matrices whose entries are all
 0 or +-one variable, which every deleted Macaulay matrix is.
@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .polyring import Polynomial, VarUniverse, divide_qq, gcd_multivariate
-from .rref import kernel, rref
 
 Entry = Union[int, Fraction, Polynomial]
 
@@ -184,6 +183,31 @@ def _packed_minors(m: ExactMatrix) -> dict[tuple[int, ...], Polynomial]:
 # -- rational rank and kernel ----------------------------------------------
 
 
+def _rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a rational matrix and its pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
 def _require_scalar(m: ExactMatrix):
     if not m.is_scalar():
         raise SymbolicEntryError("operation requires constant rational entries")
@@ -191,7 +215,7 @@ def _require_scalar(m: ExactMatrix):
 
 def rank_over_Q(m: ExactMatrix) -> int:
     _require_scalar(m)
-    _, pivots = rref(m.entries)
+    _, pivots = _rref(m.entries)
     return len(pivots)
 
 
@@ -202,8 +226,16 @@ def kernel_basis_over_Q(m: ExactMatrix) -> list[list[int]]:
     the result deterministic.
     """
     _require_scalar(m)
+    red, pivots = _rref(m.entries)
     basis = []
-    for vec in kernel(m.entries, m.ncols):
+    for fc in range(m.ncols):
+        if fc in pivots:
+            continue
+        # one vector per free column, 1 in that column
+        vec = [Fraction(0)] * m.ncols
+        vec[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -red[ri][fc]
         den = 1
         for v in vec:
             den = den * v.denominator // math.gcd(den, v.denominator)
@@ -241,8 +273,11 @@ def gcd_of_maximal_minors(m: ExactMatrix) -> Polynomial:
     packed = _packed_minors(m)
 
     g = Polynomial.zero(universe)
-    # the sweep leaves out the minors that vanish
-    for cols in sorted(packed):
+    # Every minor of a deleted Macaulay matrix is Delta times a minor of the
+    # Koszul tail (Chardin), so the sparsest one is typically a term multiple
+    # of Delta: start there, and the later minors are settled by exact
+    # divisions.  The sweep leaves out the minors that vanish.
+    for cols in sorted(packed, key=lambda cols: (len(packed[cols]), cols)):
         minor = packed[cols]
         if not g.is_zero():
             # the running gcd already divides this minor with an integer

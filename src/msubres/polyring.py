@@ -6,18 +6,17 @@ variable ordering and partitions the variables into named groups (the
 geometric variables on one side, one coefficient group per input polynomial
 on the other).  Terms are canonically ordered by graded reverse
 lexicographic order with the first variable largest.
+
+The multivariate gcd strips integer and monomial content, tries exact
+division each way, and otherwise runs a primitive remainder sequence.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-import random
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
-
-from .rref import kernel
 
 Coeff = Union[int, Fraction]
 
@@ -305,7 +304,7 @@ class Polynomial:
         _, lc = self.leading_term()
         sign = 1 if lc > 0 else -1
         prim = Polynomial(
-            self.universe, {e: int(Fraction(c) / cont) * sign for e, c in self.terms.items()}
+            self.universe, {e: c // cont * sign for e, c in self.terms.items()}
         )
         return ContentSplit(cont, prim, sign)
 
@@ -513,8 +512,6 @@ def divides(q: Polynomial, p: Polynomial) -> bool:
 
 # -- gcd --------------------------------------------------------------------
 
-_GCD_SEED = 0x5EED_6CD
-
 
 def _int_content(p: Polynomial) -> int:
     return int(math.gcd(*(abs(int(c)) for c in p.terms.values())))
@@ -536,219 +533,6 @@ def _shift_down(p: Polynomial, mono: tuple[int, ...]) -> Polynomial:
     return Polynomial(
         p.universe, {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.terms.items()}
     )
-
-
-def _line_image(p: Polynomial, lines: Sequence[tuple[int, int]]) -> list:
-    """Restrict to x_i = a_i*t + b_i; dense coefficient list in t (ints)."""
-    deg = p.degree()
-    pow_cache: dict[tuple[int, int], list[int]] = {}
-
-    def linpow(i: int, e: int) -> list[int]:
-        key = (i, e)
-        got = pow_cache.get(key)
-        if got is not None:
-            return got
-        a, b = lines[i]
-        cur = [1]
-        for _ in range(e):
-            nxt = [0] * (len(cur) + 1)
-            for j, c in enumerate(cur):
-                nxt[j] += c * b
-                nxt[j + 1] += c * a
-            cur = nxt
-        pow_cache[key] = cur
-        return cur
-
-    out = [0] * (deg + 1)
-    for exp, c in p.terms.items():
-        cur = [c]
-        for i, e in enumerate(exp):
-            if e:
-                pe = linpow(i, e)
-                nxt = [0] * (len(cur) + len(pe) - 1)
-                for j, cj in enumerate(cur):
-                    if cj:
-                        for k, pk in enumerate(pe):
-                            if pk:
-                                nxt[j + k] += cj * pk
-                cur = nxt
-        for j, cj in enumerate(cur):
-            out[j] += cj
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _uni_gcd_degree(u: list, v: list) -> int:
-    """Degree of gcd of two dense rational coefficient lists."""
-    a = [Fraction(c) for c in u]
-    b = [Fraction(c) for c in v]
-
-    def trim(x):
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    a, b = trim(a), trim(b)
-    if not a:
-        return len(b) - 1
-    if not b:
-        return len(a) - 1
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        # a -= lc(a)/lc(b) * x^(da-db) * b
-        f = a[-1] / b[-1]
-        off = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[off + i] -= f * c
-        a = trim(a)
-        if len(a) < len(b):
-            a, b = b, a
-    return len(a) - 1
-
-
-def _estimated_gcd_degree(p: Polynomial, q: Polynomial, rng: random.Random, tries: int = 2) -> int:
-    best = min(p.degree(), q.degree())
-    for _ in range(tries):
-        lines = [(rng.randint(1, 40), rng.randint(-40, 40)) for _ in range(p.universe.n)]
-        u = _line_image(p, lines)
-        v = _line_image(q, lines)
-        if len(u) - 1 == p.degree() and len(v) - 1 == q.degree():
-            best = min(best, _uni_gcd_degree(u, v))
-    return best
-
-
-def _group_gcd_degrees(
-    p: Polynomial, q: Polynomial, rng: random.Random
-) -> Optional[dict[str, int]]:
-    """Per-group degree of gcd(p, q), assuming both are group-homogeneous."""
-    degs_p, hom_p = p.multidegree_by_group()
-    degs_q, hom_q = q.multidegree_by_group()
-    if not all(hom_p.values()) or not all(hom_q.values()):
-        return None
-    out = {}
-    universe = p.universe
-    for gname in universe.groups:
-        gi = set(universe.group_indices(gname))
-        best = min(degs_p[gname], degs_q[gname])
-        for _ in range(2):
-            lines = []
-            for i in range(universe.n):
-                if i in gi:
-                    lines.append((rng.randint(1, 40), rng.randint(-40, 40)))
-                else:
-                    lines.append((0, rng.randint(1, 40)))
-            u = _line_image(p, lines)
-            v = _line_image(q, lines)
-            if len(u) - 1 == degs_p[gname] and len(v) - 1 == degs_q[gname]:
-                best = min(best, _uni_gcd_degree(u, v))
-        out[gname] = best
-    return out
-
-
-def _monomials_with_group_degrees(
-    universe: VarUniverse, gdegs: Mapping[str, int]
-) -> list[tuple[int, ...]]:
-    per_group: list[list[tuple[int, ...]]] = []
-    group_idx: list[tuple[int, ...]] = []
-    for gname in universe.groups:
-        idx = universe.group_indices(gname)
-        group_idx.append(idx)
-        per_group.append(monomials_of_degree(len(idx), gdegs.get(gname, 0)))
-    out = []
-    for combo in itertools.product(*per_group):
-        exp = [0] * universe.n
-        for idx, part in zip(group_idx, combo):
-            for i, e in zip(idx, part):
-                exp[i] = e
-        out.append(tuple(exp))
-    return out
-
-
-def _interp_gcd(
-    p: Polynomial, q: Polynomial, gcd_degree: int, rng: random.Random
-) -> Optional[Polynomial]:
-    """Find gcd via undetermined cofactors solved from point evaluations.
-
-    Works on primitive inputs and returns a primitive, sign-normalized gcd,
-    or None when the attempt fails (caller falls back to the PRS route).
-    """
-    universe = p.universe
-    gdegs = _group_gcd_degrees(p, q, rng)
-    if gdegs is not None:
-        degs_p, _ = p.multidegree_by_group()
-        degs_q, _ = q.multidegree_by_group()
-        if sum(gdegs.values()) != gcd_degree:
-            # group estimates disagree with the total estimate; distrust both
-            return None
-        basis_a = _monomials_with_group_degrees(
-            universe, {g: degs_p[g] - gdegs[g] for g in universe.groups}
-        )
-        basis_b = _monomials_with_group_degrees(
-            universe, {g: degs_q[g] - gdegs[g] for g in universe.groups}
-        )
-    else:
-        da = p.degree() - gcd_degree
-        db = q.degree() - gcd_degree
-        if math.comb(da + universe.n, universe.n) + math.comb(db + universe.n, universe.n) > 3000:
-            return None
-        caps = [max(p.degree_in(i), q.degree_in(i)) for i in range(universe.n)]
-        basis_a = [
-            e
-            for d in range(da + 1)
-            for e in monomials_of_degree(universe.n, d)
-            if all(x <= c for x, c in zip(e, caps))
-        ]
-        basis_b = [
-            e
-            for d in range(db + 1)
-            for e in monomials_of_degree(universe.n, d)
-            if all(x <= c for x, c in zip(e, caps))
-        ]
-    if len(basis_a) + len(basis_b) > 600:
-        return None
-
-    nunk = len(basis_a) + len(basis_b)
-    names = universe.names
-    for _attempt in range(2):
-        rows = []
-        for _ in range(nunk + 8):
-            point = {nm: rng.randint(-30, 30) for nm in names}
-            pv = p.evaluate(point)
-            qv = q.evaluate(point)
-            vals = [point[nm] for nm in names]
-
-            def mono_val(exp):
-                v = 1
-                for i, e in enumerate(exp):
-                    if e:
-                        v *= vals[i] ** e
-                return v
-
-            # p * B - q * A = 0 with A ~ p/g, B ~ q/g
-            row = [pv * mono_val(e) for e in basis_b] + [-qv * mono_val(e) for e in basis_a]
-            rows.append(row)
-        kern = kernel(rows, nunk)
-        if len(kern) != 1:
-            continue
-        vec = kern[0]
-        a_coeffs = vec[len(basis_b):]
-        if all(c == 0 for c in a_coeffs):
-            continue
-        cof = Polynomial(universe, {e: c for e, c in zip(basis_a, a_coeffs)})
-        cof = cof.content_and_primitive().primitive
-        g = divide_qq(p, cof)
-        if g is None:
-            continue
-        g = g.content_and_primitive().primitive
-        if divide_qq(q, g) is None:
-            continue
-        if divide_qq(p, g) is None:
-            continue
-        return g
-    return None
 
 
 def _most_frequent_variable(p: Polynomial, q: Polynomial) -> int:
@@ -869,27 +653,11 @@ def gcd_multivariate(p: Polynomial, q: Polynomial) -> Polynomial:
 
     if pp.is_constant() or qq.is_constant():
         return lead.sign_normalized()
-
-    rng = random.Random(_GCD_SEED)
-    gdeg = _estimated_gcd_degree(pp, qq, rng)
-    if gdeg == 0:
-        return lead.sign_normalized()
-    if gdeg == pp.degree() and divide_qq(qq, pp) is not None:
+    if divide_qq(qq, pp) is not None:
         return (lead * pp).sign_normalized()
-    if gdeg == qq.degree() and divide_qq(pp, qq) is not None:
+    if divide_qq(pp, qq) is not None:
         return (lead * qq).sign_normalized()
-
-    small = (
-        len(pp) <= 60
-        and len(qq) <= 60
-        and len(set(pp.variables()) | set(qq.variables())) <= 6
-    )
-    if not small:
-        g = _interp_gcd(pp, qq, gdeg, rng)
-        if g is not None:
-            return (lead * g).sign_normalized()
-    g = _prs_gcd(pp, qq)
-    return (lead * g).sign_normalized()
+    return (lead * _prs_gcd(pp, qq)).sign_normalized()
 
 
 # -- serialization ----------------------------------------------------------

@@ -129,6 +129,32 @@ def test_gcd_of_maximal_minors_rank_deficient():
         gcd_of_maximal_minors(m)
 
 
+def test_gcd_of_maximal_minors_reaches_prs(monkeypatch):
+    # block diagonal: the nonzero minors are (ad-bc) times ei-fh, ej-gh and
+    # fj-gi, none a term multiple of ad-bc, so the loop needs the PRS gcd
+    import msubres.polyring as polyring
+
+    names = list("abcdefghij")
+    U10 = VarUniverse(names, {"g": names})
+    a, b, c, d, e, f, g, h, i, j = (Polynomial.variable(U10, nm) for nm in names)
+    m = ExactMatrix(
+        [[a, b, 0, 0, 0], [c, d, 0, 0, 0], [0, 0, e, f, g], [0, 0, h, i, j]],
+        universe=U10,
+    )
+    calls = []
+    prs = polyring._prs_gcd
+
+    def counted_prs(p, q):
+        calls.append((p, q))
+        return prs(p, q)
+
+    monkeypatch.setattr(polyring, "_prs_gcd", counted_prs)
+    delta = a * d - b * c
+    got = gcd_of_maximal_minors(m)
+    assert got == delta or got == -delta
+    assert calls
+
+
 def test_gcd_of_maximal_minors_empty():
     g = gcd_of_maximal_minors(ExactMatrix([], universe=U))
     assert g.is_constant() and g.constant_value() == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from msubres.hilbert import DegreeVector, thresholds
+from msubres.hilbert import DegreeVector, expected_multidegree, thresholds
 from msubres.polyring import Polynomial, VarUniverse
 from msubres.subres import (
     InvalidMonomialSetError,
@@ -225,3 +225,28 @@ def test_at_bound_case_recorded_not_asserted():
     S = parse_monomial_set("x1*x2^2, x2^3", sys_, 3)
     res = subresultant(sys_, 3, S)
     assert res.in_range and not res.is_zero
+
+
+@pytest.mark.parametrize(
+    "degrees,nu,monomials",
+    [((3, 2, 1), 3, None), ((4, 1, 1), 3, None), ((3, 3, 1), 4, "x1^3*x3")],
+)
+def test_delta_needs_no_general_gcd(monkeypatch, degrees, nu, monomials):
+    # visited sparsest first, the minors settle Delta by exact divisions alone
+    import msubres.polyring as polyring
+
+    def no_prs(p, q):
+        raise AssertionError("general gcd reached on the Delta route")
+
+    monkeypatch.setattr(polyring, "_prs_gcd", no_prs)
+    sys_ = build_generic_system(3, degrees)
+    if monomials is None:
+        S = enumerate_S(sys_, nu, limit=1, seed=0)[0]
+    else:
+        S = parse_monomial_set(monomials, sys_, nu)
+    res = subresultant(sys_, nu, S)
+    assert not res.is_zero and res.content == 1
+    assert res.multidegrees == {
+        sys_.coefficient_group(i): expected_multidegree(sys_.dv, nu, i)
+        for i in range(3)
+    }
