@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .polyring import Polynomial, VarUniverse, divide_qq, gcd_multivariate
-
-Entry = Union[int, Fraction, Polynomial]
+from .polyring import (
+    Polynomial,
+    VarUniverse,
+    divide_qq,
+    gcd_multivariate,
+    pack_exponents,
+    packed_width,
+    unpack_exponents,
+)
 
 
 class SymbolicEntryError(TypeError):
@@ -33,7 +39,7 @@ class ExactMatrix:
 
     def __init__(
         self,
-        entries: Sequence[Sequence[Entry]],
+        entries: Sequence[Sequence[int | Fraction | Polynomial]],
         universe: Optional[VarUniverse] = None,
     ):
         self.entries = [list(row) for row in entries]
@@ -116,10 +122,9 @@ def _packed_minors(m: ExactMatrix) -> dict[tuple[int, ...], Polynomial]:
     r, c = m.nrows, m.ncols
     universe = m.universe
     nvars = universe.n
-    bits = max(1, r.bit_length() + 1)
-
-    def pack(var: int) -> int:
-        return 1 << (bits * var)
+    # a minor has total degree at most r, so no exponent exceeds r
+    width = packed_width(r)
+    unit = [pack_exponents((0,) * v + (1,), width) for v in range(nvars)]
 
     # states: dict columns-used-bitmask -> dict packed-monomial -> int coeff
     states: dict[int, dict[int, int]] = {0: {0: 1}}
@@ -135,7 +140,7 @@ def _packed_minors(m: ExactMatrix) -> dict[tuple[int, ...], Polynomial]:
                 # placing row k in column j adds one inversion per used
                 # column to its right
                 s = -sgn if (mask >> (j + 1)).bit_count() % 2 else sgn
-                shift = pack(var)
+                shift = unit[var]
                 key = mask | bit
                 acc = new.get(key)
                 if acc is None:
@@ -161,20 +166,9 @@ def _packed_minors(m: ExactMatrix) -> dict[tuple[int, ...], Polynomial]:
         if not states:
             break
 
-    fieldmask = (1 << bits) - 1
-
-    def unpack(mono: int) -> tuple[int, ...]:
-        exp = [0] * nvars
-        i = 0
-        while mono:
-            exp[i] = mono & fieldmask
-            mono >>= bits
-            i += 1
-        return tuple(exp)
-
     return {
         tuple(j for j in range(c) if mask >> j & 1): Polynomial(
-            universe, {unpack(mono): cf for mono, cf in poly.items()}
+            universe, {unpack_exponents(mono, width, nvars): cf for mono, cf in poly.items()}
         )
         for mask, poly in states.items()
     }

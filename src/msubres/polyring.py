@@ -9,6 +9,8 @@ lexicographic order with the first variable largest.
 
 The multivariate gcd strips integer and monomial content, tries exact
 division each way, and otherwise runs a primitive remainder sequence.
+Substitution expands over packed monomials (one int per monomial), the
+format that the all-minors sweep in linalg shares.
 """
 
 from __future__ import annotations
@@ -55,6 +57,49 @@ def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
     rec((), degree, nvars)
     out.sort(key=grevlex_key, reverse=True)
+    return out
+
+
+# -- packed monomials -------------------------------------------------------
+#
+# A packed monomial is one int that holds exponent i in bits
+# [i * width, (i + 1) * width).  Adding packed monomials multiplies the
+# monomials as long as no field exceeds 2**width - 1, so callers take the
+# width from a bound on every exponent they form (Monagan and Pearce,
+# "Polynomial division using dynamic arrays, heaps, and packed exponent
+# vectors", CASC 2007).  Fields are whole bytes, so that unpacking is one
+# int.to_bytes call instead of a shift and mask per variable.
+
+
+def packed_width(bound: int) -> int:
+    """Field width in bits, a multiple of 8, that holds 0..bound."""
+    return 8 * max(1, (bound.bit_length() + 7) // 8)
+
+
+def pack_exponents(exp: Sequence[int], width: int) -> int:
+    packed = 0
+    for e in reversed(exp):
+        packed = packed << width | e
+    return packed
+
+
+def unpack_exponents(packed: int, width: int, nvars: int) -> tuple[int, ...]:
+    raw = packed.to_bytes(nvars * width // 8, "little")
+    if width == 8:
+        return tuple(raw)
+    k = width // 8
+    return tuple(int.from_bytes(raw[i : i + k], "little") for i in range(0, len(raw), k))
+
+
+def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two {packed monomial: int} polynomials; may keep zeros."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[int, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            out[m] = out.get(m, 0) + ca * cb
     return out
 
 
@@ -334,81 +379,134 @@ class Polynomial:
         assignment: Mapping[str, Union[Coeff, "Polynomial"]],
         target: Optional[VarUniverse] = None,
     ) -> "Polynomial":
-        """Simultaneous substitution of variables by scalars or polynomials."""
+        """Simultaneous substitution of variables by scalars or polynomials.
+
+        A variable left out of the assignment maps to itself when the target
+        universe has it; a variable with no image raises only if it occurs.
+        Every image is scaled to integer coefficients, every term is expanded
+        over packed monomials into one integer accumulator, and the result is
+        divided by the common denominator once, at the end.
+        """
+        source = self.universe
         for name in assignment:
-            if name not in self.universe._index:
+            if name not in source._index:
                 raise UniverseMismatchError(f"variable {name!r} not in universe")
         poly_values = [v for v in assignment.values() if isinstance(v, Polynomial)]
         if target is None:
             if poly_values:
                 target = poly_values[0].universe
             else:
-                target = self.universe
+                target = source
         for v in poly_values:
             if v.universe != target:
                 raise UniverseMismatchError("assigned polynomials live in different universes")
 
-        # image of every source variable in the target universe
-        images: list[Polynomial] = []
-        for name in self.universe.names:
+        # image of every source variable: a scalar, a Polynomial in the target
+        # universe, or None (only an error if the variable occurs)
+        images: list = []
+        for name in source.names:
             if name in assignment:
                 val = assignment[name]
-                if isinstance(val, Polynomial):
-                    images.append(val)
-                else:
-                    images.append(Polynomial.constant(target, val))
+                if not isinstance(val, (Polynomial, int, Fraction)):
+                    raise TypeError(f"unsupported coefficient type {type(val)!r}")
+                images.append(val)
+            elif name in target._index:
+                images.append(Polynomial.variable(target, name))
             else:
-                if target is self.universe or name in target._index:
-                    images.append(Polynomial.variable(target, name))
-                else:
-                    images.append(None)  # only an error if the variable occurs
+                images.append(None)
 
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            got = pow_cache.get(key)
-            if got is None:
-                if images[i] is None:
-                    raise UniverseMismatchError(
-                        f"variable {self.universe.names[i]!r} has no image in target universe"
-                    )
-                got = images[i] ** e
-                pow_cache[key] = got
-            return got
-
-        # one accumulator dict for all terms; the constructor drops zeros
-        acc: dict[tuple[int, ...], Coeff] = {}
-        for exp, c in self.terms.items():
-            term = Polynomial.constant(target, c)
+        # The monomials of a term's product have total degree at most
+        # sum(e_i * deg(image_i)) <= bound, so no exponent of any monomial
+        # formed below exceeds bound, and fields of packed_width(bound) bits
+        # never carry: the kernel only adds packed monomials.
+        degrees = [max(v.degree(), 0) if isinstance(v, Polynomial) else 0 for v in images]
+        top = [0] * source.n  # largest exponent of each variable over the terms
+        bound = 0
+        for exp in self.terms:
+            b = 0
             for i, e in enumerate(exp):
                 if e:
-                    term = term * power(i, e)
-            for texp, tc in term.terms.items():
-                acc[texp] = acc.get(texp, 0) + tc
-        return Polynomial(target, acc)
+                    if images[i] is None:
+                        raise UniverseMismatchError(
+                            f"variable {source.names[i]!r} has no image in target universe"
+                        )
+                    b += e * degrees[i]
+                    if e > top[i]:
+                        top[i] = e
+            if b > bound:
+                bound = b
+        width = packed_width(bound)
 
-    def evaluate(self, point: Mapping[str, Coeff]) -> Coeff:
-        """Evaluate at a full scalar assignment (fast path)."""
-        idx_val: list[Coeff] = []
-        for name in self.universe.names:
-            if name not in point:
-                raise UniverseMismatchError(f"no value for variable {name!r}")
-            idx_val.append(point[name])
-        pow_cache: dict[tuple[int, int], Coeff] = {}
-        total: Coeff = 0
+        # image i is nums[i] / dens[i]: an int, or {packed monomial: int}
+        nums: list = []
+        dens: list[int] = []
+        for v in images:
+            if isinstance(v, Polynomial):
+                den = math.lcm(*(c.denominator for c in v.terms.values()))
+                nums.append({
+                    pack_exponents(e, width): c.numerator * (den // c.denominator)
+                    for e, c in v.terms.items()
+                })
+                dens.append(den)
+            elif v is None:
+                nums.append(None)
+                dens.append(1)
+            else:
+                nums.append(v.numerator)
+                dens.append(v.denominator)
+        scale = math.lcm(*(c.denominator for c in self.terms.values()))
+        denom = scale
+        for d, t in zip(dens, top):
+            denom *= d**t
+        scaled = [d != 1 and t > 0 for d, t in zip(dens, top)]
+
+        # (i, e) -> (factor, packed power or None).  The factor carries
+        # dens[i] ** (top[i] - e), the share of the common denominator that
+        # the term's own exponent leaves out, and a scalar image's power.
+        powers: dict[tuple[int, int], tuple[int, Optional[dict[int, int]]]] = {}
+        acc: dict[int, int] = {}
         for exp, c in self.terms.items():
-            v = c
+            coef = c.numerator * (scale // c.denominator)
+            factors = []
             for i, e in enumerate(exp):
-                if e:
-                    key = (i, e)
-                    p = pow_cache.get(key)
-                    if p is None:
-                        p = idx_val[i] ** e
-                        pow_cache[key] = p
-                    v *= p
-            total += v
-        return total
+                if not e and not scaled[i]:
+                    continue
+                got = powers.get((i, e))
+                if got is None:
+                    num, lack = nums[i], dens[i] ** (top[i] - e)
+                    if isinstance(num, dict):
+                        power = None
+                        if e:
+                            power = num
+                            for _ in range(e - 1):
+                                power = _packed_mul(power, num)
+                        got = (lack, power)
+                    else:
+                        got = (num**e * lack, None)
+                    powers[(i, e)] = got
+                coef *= got[0]
+                if got[1] is not None:
+                    factors.append(got[1])
+            if not coef:
+                continue
+            if not factors:
+                acc[0] = acc.get(0, 0) + coef
+                continue
+            factors.sort(key=len)
+            prod = factors[0]
+            for f in factors[1:]:
+                prod = _packed_mul(prod, f)
+            for m, v in prod.items():
+                acc[m] = acc.get(m, 0) + coef * v
+
+        n = target.n
+        out: dict[tuple[int, ...], Coeff] = {}
+        for m, v in acc.items():
+            if v:
+                out[unpack_exponents(m, width, n)] = (
+                    v // denom if v % denom == 0 else Fraction(v, denom)
+                )
+        return Polynomial(target, out)
 
     # -- display -----------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: inclusion-exclusion instead of
 series manipulation, permutation expansion and Bareiss elimination instead
-of the packed minors sweep, sympy instead of the package's own
+of the packed minors sweep, term-by-term Polynomial products instead of the
+packed substitution kernel, sympy instead of the package's own
 factorization pipeline.  The point is that an oracle shares no code path
 with the implementation it checks.
 """
@@ -14,7 +15,7 @@ from itertools import combinations, permutations
 
 import sympy
 
-from msubres.polyring import Polynomial, exact_divide
+from msubres.polyring import Polynomial, UniverseMismatchError, exact_divide
 
 
 def hilbert_inclusion_exclusion(n, degrees, t):
@@ -81,6 +82,52 @@ def bareiss_determinant(rows):
                 m[i][j] = divide(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
         prev = m[k][k]
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+
+
+def specialize_by_terms(poly, assignment, target=None):
+    """Reference for Polynomial.specialize: each term of poly becomes a chain
+    of Polynomial products of cached powers of the images, with the same
+    checks and the same default target."""
+    source = poly.universe
+    for name in assignment:
+        if name not in source.names:
+            raise UniverseMismatchError(f"variable {name!r} not in universe")
+    poly_values = [v for v in assignment.values() if isinstance(v, Polynomial)]
+    if target is None:
+        target = poly_values[0].universe if poly_values else source
+    for v in poly_values:
+        if v.universe != target:
+            raise UniverseMismatchError("assigned polynomials live in different universes")
+    images = []
+    for name in source.names:
+        if name in assignment:
+            val = assignment[name]
+            if isinstance(val, Polynomial):
+                images.append(val)
+            elif isinstance(val, (int, Fraction)):
+                images.append(Polynomial.constant(target, val))
+            else:
+                raise TypeError(f"unsupported coefficient type {type(val)!r}")
+        elif name in target.names:
+            images.append(Polynomial.variable(target, name))
+        else:
+            images.append(None)
+    powers = {}
+    acc = Polynomial.zero(target)
+    for exp, c in poly.terms.items():
+        term = Polynomial.constant(target, c)
+        for i, e in enumerate(exp):
+            if not e:
+                continue
+            if images[i] is None:
+                raise UniverseMismatchError(
+                    f"variable {source.names[i]!r} has no image in target universe"
+                )
+            if (i, e) not in powers:
+                powers[(i, e)] = images[i] ** e
+            term = term * powers[(i, e)]
+        acc = acc + term
+    return acc
 
 
 def sylvester_resultant(p_coeffs, q_coeffs):

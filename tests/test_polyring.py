@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,7 @@ from msubres.polyring import (
     poly_from_doc,
     poly_to_doc,
 )
-from oracles import sympy_poly
+from oracles import specialize_by_terms, sympy_poly
 
 
 U3 = VarUniverse(["x", "y", "z"], {"all": ["x", "y", "z"]})
@@ -172,11 +175,114 @@ def test_specialize_scalar_and_polynomial():
     assert out2 == b_s * b_s * Polynomial.variable(small, "a")
 
 
-def test_evaluate():
+SMALL = VarUniverse(["a", "b"], {"c": ["a", "b"]})
+
+
+def _rand_image(rng, universe, kind):
+    if kind == "int":
+        return rng.randint(-5, 5)
+    if kind == "fraction":
+        return Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+    if kind == "zero":
+        return 0
+    p = rand_poly(rng, universe, nterms=3, maxdeg=2, coeff=5)
+    if kind == "fraction-poly":
+        p = p * Fraction(rng.randint(1, 5), rng.randint(2, 7)) + Fraction(1, rng.randint(2, 5))
+    return p
+
+
+def _agrees_with_oracle(p, assignment, target=None):
+    got = p.specialize(assignment, target)
+    want = specialize_by_terms(p, assignment, target)
+    assert got == want and got.universe == want.universe
+    # same coefficient values, and an int wherever the value is integral
+    assert {e: str(c) for e, c in got.terms.items()} == {e: str(c) for e, c in want.terms.items()}
+    return got
+
+
+def test_specialize_matches_term_oracle():
+    rng = random.Random(31)
+    kinds = ("int", "fraction", "zero", "poly", "fraction-poly")
+    for _ in range(60):
+        p = rand_poly(rng, UG, nterms=6, maxdeg=3)
+        if rng.random() < 0.3:
+            p = p * Fraction(rng.randint(1, 4), rng.randint(2, 9))
+        # scalars only, some variables unassigned and kept
+        names = rng.sample(UG.names, rng.randint(0, UG.n))
+        scalars = {nm: _rand_image(rng, UG, rng.choice(kinds[:3])) for nm in names}
+        _agrees_with_oracle(p, scalars)
+        # mixed scalar and polynomial images into a smaller universe
+        mixed = {nm: _rand_image(rng, SMALL, rng.choice(kinds)) for nm in UG.names}
+        _agrees_with_oracle(p, mixed, target=SMALL)
+        if not any(isinstance(v, Polynomial) for v in mixed.values()):
+            mixed["a"] = Polynomial.variable(SMALL, "a")
+        _agrees_with_oracle(p, mixed)  # target taken from the images
+        # polynomial images in the source universe, unassigned variables kept
+        names = rng.sample(UG.names, rng.randint(1, UG.n))
+        own = {nm: _rand_image(rng, UG, rng.choice(kinds[3:])) for nm in names}
+        _agrees_with_oracle(p, own, target=UG)
+
+    # a full scalar point (the former Polynomial.evaluate)
     x = Polynomial.variable(U3, "x")
     y = Polynomial.variable(U3, "y")
-    p = x * x + y * 3 - 7
-    assert p.evaluate({"x": 2, "y": 5, "z": 9}) == 4 + 15 - 7
+    q = x * x + y * 3 - 7
+    point = {"x": 2, "y": 5, "z": 9}
+    assert _agrees_with_oracle(q, point).constant_value() == 4 + 15 - 7
+    # a sum that cancels to zero, and constant and zero sources
+    assert _agrees_with_oracle(x * y - y * y, {"x": y}).is_zero()
+    assert _agrees_with_oracle(x - y, {"x": Polynomial.variable(U3, "y")}).is_zero()
+    const = Polynomial.constant(UG, Fraction(3, 4))
+    assert _agrees_with_oracle(const, {}, target=SMALL) == Polynomial.constant(SMALL, Fraction(3, 4))
+    assert _agrees_with_oracle(Polynomial.zero(UG), {"x1": 2}, target=SMALL).is_zero()
+    assert _agrees_with_oracle(Polynomial.zero(UG), {"x1": 2}).universe == UG
+
+
+def test_specialize_field_width_edge():
+    # every exponent of the kernel's monomials is bounded by
+    # B = max over terms of sum(e_i * deg(image_i)); fields are whole bytes
+    # of at least B.bit_length() bits, so B = 2**k - 1 fills a field when k
+    # is a multiple of 8 and B = 2**k needs one more byte
+    t = VarUniverse(["t", "s"], {"g": ["t", "s"]})
+    tv, sv = Polynomial.variable(t, "t"), Polynomial.variable(t, "s")
+    a, b = Polynomial.variable(SMALL, "a"), Polynomial.variable(SMALL, "b")
+    for k in (1, 2, 3, 8, 16):
+        for B in (2**k - 1, 2**k):
+            # a full field next to a nonzero one: a carry would show in b
+            got = _agrees_with_oracle(tv**B * sv, {"t": a, "s": b})
+            assert got.terms == {(B, 1): 1}
+            if k == 16:
+                continue
+            got = _agrees_with_oracle(tv**B + sv, {"t": a + b, "s": b * 3})
+            assert got == (a + b) ** B + b * 3
+            if B % 2 == 0:
+                # degree-2 image: B = 2 * (B / 2)
+                got = _agrees_with_oracle(tv ** (B // 2) * 5, {"t": a * a - a * b, "s": 1})
+                assert got == (a * a - a * b) ** (B // 2) * 5
+            else:
+                # mixed degrees: B = 2 * (B // 2) + 1
+                got = _agrees_with_oracle(
+                    tv ** (B // 2) * sv, {"t": a * b + Fraction(1, 2), "s": b - a}
+                )
+                assert got == (a * b + Fraction(1, 2)) ** (B // 2) * (b - a)
+
+
+def test_specialize_errors():
+    x1 = Polynomial.variable(UG, "x1")
+    a = Polynomial.variable(UG, "a")
+    p = x1 * x1 * a + 1
+    small_a = Polynomial.variable(SMALL, "a")
+    for spec in (specialize_by_terms, Polynomial.specialize):
+        with pytest.raises(TypeError):
+            spec(p, {"x1": 1.5})
+        with pytest.raises(UniverseMismatchError):
+            spec(p, {"nope": 1})
+        with pytest.raises(UniverseMismatchError):
+            spec(p, {"x1": small_a, "a": a})
+        # x1 has no image in SMALL and occurs in p
+        with pytest.raises(UniverseMismatchError):
+            spec(p, {"a": small_a}, SMALL)
+        # x2 has no image in SMALL but does not occur: no error
+        assert spec(p, {"x1": 2, "a": small_a}, SMALL) == small_a * 4 + 1
 
 
 def test_multidegree_by_group():
@@ -207,3 +313,25 @@ def test_power_and_str():
     assert (x + y) ** 0 == Polynomial.constant(U3, 1)
     assert (x + y) ** 3 == (x + y) * (x + y) * (x + y)
     assert str(Polynomial.zero(U3)) == "0"
+
+
+_REIMPORT = """
+import gc, sys, weakref
+import msubres.cli, msubres.polyring
+ref = weakref.ref(msubres.polyring.Polynomial)
+for name in [m for m in sys.modules if m == "msubres" or m.startswith("msubres.")]:
+    del sys.modules[name]
+import msubres.cli
+gc.collect()
+sys.exit(0 if ref() is None else 1)
+"""
+
+
+def test_reimport_frees_old_polynomial_class():
+    # Nothing import-time (such as a typing alias naming Polynomial, which
+    # typing caches) may keep an old msubres alive after a re-import.  Runs in
+    # a subprocess: dropping sys.modules here would mix classes in later tests.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, timeout=120)
+    assert proc.returncode == 0, "the old Polynomial class outlived a re-import"

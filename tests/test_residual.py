@@ -43,7 +43,7 @@ def test_points_ideal_generators_vanish_on_points():
     assert len(ideal.generators) == 1
     for g in ideal.generators:
         for pt in ps.points:
-            val = g.evaluate({f"x{i + 1}": c for i, c in enumerate(pt)})
+            val = g.specialize({f"x{i + 1}": c for i, c in enumerate(pt)}).constant_value()
             assert val == 0
 
 
