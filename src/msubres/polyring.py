@@ -475,11 +475,9 @@ class Polynomial:
                 if got is None:
                     num, lack = nums[i], dens[i] ** (top[i] - e)
                     if isinstance(num, dict):
-                        power = None
-                        if e:
-                            power = num
-                            for _ in range(e - 1):
-                                power = _packed_mul(power, num)
+                        power = num if e else None
+                        for _ in range(e - 1):
+                            power = _packed_mul(power, num)
                         got = (lack, power)
                     else:
                         got = (num**e * lack, None)
@@ -489,11 +487,8 @@ class Polynomial:
                     factors.append(got[1])
             if not coef:
                 continue
-            if not factors:
-                acc[0] = acc.get(0, 0) + coef
-                continue
             factors.sort(key=len)
-            prod = factors[0]
+            prod = factors[0] if factors else {0: 1}
             for f in factors[1:]:
                 prod = _packed_mul(prod, f)
             for m, v in prod.items():
