@@ -48,13 +48,13 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_ZERO = 3
 
-# a 14-row symbolic deleted matrix is the largest that finishes in under a
-# minute; anything bigger needs --max-rows
+# Delta is one symbolic determinant with this many rows, and its packed
+# sweep grows like 2^rows; anything bigger needs --max-rows
 DEFAULT_MAX_ROWS = 14
 # big matrices get few S samples so one case cannot dominate the sweep
 _BIG_ROWS = 12
 _BIG_ROWS_S_LIMIT = 2
-# wide matrices multiply the work by the number of maximal minors
+# kept for its skip records, part of the report body; Delta expands no minors
 _MAX_MINORS = 60
 
 

@@ -2,9 +2,10 @@
 
 Provides rational rank/kernel computations (through one Gauss-Jordan
 elimination) and the gcd of maximal minors that realizes subresultants.
-The minors come from one packed-exponent sweep that yields all maximal
-minors at once, whatever the shape; it takes matrices whose entries are all
-0 or +-one variable, which every deleted Macaulay matrix is.
+That gcd is the determinant of a complex that is exact at a known point,
+taken as one Cayley ratio: square blocks picked by elimination at the point,
+each determinant from one packed-exponent sweep over a matrix whose entries
+are all 0 or +-one variable, which every Koszul matrix is.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import Optional, Sequence
 from .polyring import (
     Polynomial,
     VarUniverse,
-    divide_qq,
-    gcd_multivariate,
+    exact_divide,
     pack_exponents,
     packed_width,
     unpack_exponents,
@@ -26,10 +26,6 @@ from .polyring import (
 
 class SymbolicEntryError(TypeError):
     """An entry is of a kind the operation does not take."""
-
-
-class GenericRankError(ArithmeticError):
-    """Every maximal minor vanishes identically: the packed sweep found none."""
 
 
 class ExactMatrix:
@@ -244,44 +240,50 @@ def kernel_basis_over_Q(m: ExactMatrix) -> list[list[int]]:
 # -- gcd of maximal minors --------------------------------------------------
 
 
-def _is_unit(p: Polynomial) -> bool:
-    return p.is_constant() and abs(p.constant_value()) == 1
+def _det(m: ExactMatrix) -> Polynomial:
+    """Determinant of a square 0/+-variable matrix, from the packed sweep."""
+    return _packed_minors(m).get(tuple(range(m.ncols)), Polynomial.zero(m.universe))
 
 
-def gcd_of_maximal_minors(m: ExactMatrix) -> Polynomial:
+def gcd_of_maximal_minors(
+    m: ExactMatrix,
+    tails: Sequence[ExactMatrix] = (),
+    point: Optional[Sequence[int]] = None,
+) -> Polynomial:
     """Sign-normalized gcd of all (nrows x nrows) minors, content retained.
 
-    All minors come from one packed sweep, so every entry must be 0 or
-    +-one variable (every deleted Macaulay matrix is); any other matrix
-    raises SymbolicEntryError.  GenericRankError means the sweep proved
-    that every minor vanishes identically.
+    m and tails = (d_2, d_3, ...) must form a complex, m d_2 = d_2 d_3 = 0,
+    that is exact at ``point`` (one value per variable), with every entry 0
+    or +-one variable.  The gcd is then the complex's determinant, one
+    Cayley ratio: from the top map down, the pivot rows of each block at the
+    point give an invertible square block, and the rows left over are the
+    next map's columns, down to a square m_J.  The result is det m_J times
+    the d_3, d_5, ... block determinants over the d_2, d_4, ... ones.  A
+    zero det m_J is returned as the zero polynomial: m_J spans the columns
+    of m, so every maximal minor vanishes.  A broken complex (a block
+    singular at the point, a non-square m_J, an inexact division) raises
+    ArithmeticError.
     """
-    r, c = m.nrows, m.ncols
-    if r > c:
-        raise ValueError("need rows <= columns")
-    universe = m.universe
-    if universe is None:
+    if m.universe is None:
         raise SymbolicEntryError("gcd of minors is a polynomial operation")
-    if r == 0:
-        return Polynomial.constant(universe, 1)
-    packed = _packed_minors(m)
-
-    g = Polynomial.zero(universe)
-    # Every minor of a deleted Macaulay matrix is Delta times a minor of the
-    # Koszul tail (Chardin), so the sparsest one is typically a term multiple
-    # of Delta: start there, and the later minors are settled by exact
-    # divisions.  The sweep leaves out the minors that vanish.
-    for cols in sorted(packed, key=lambda cols: (len(packed[cols]), cols)):
-        minor = packed[cols]
-        if not g.is_zero():
-            # the running gcd already divides this minor with an integer
-            # quotient: the minor cannot refine it
-            quo = divide_qq(minor, g)
-            if quo is not None and all(cf.denominator == 1 for cf in quo.terms.values()):
-                continue
-        g = gcd_multivariate(g, minor)
-        if _is_unit(g):
-            break
-    if g.is_zero():
-        raise GenericRankError("all maximal minors vanish identically")
-    return g.sign_normalized()
+    cols = range((tails[-1] if tails else m).ncols)
+    odd, even = [], []  # block determinants of d_3, d_5, ... and d_2, d_4, ...
+    for k in reversed(range(len(tails))):  # tails[k] is d_{k+2}
+        t = tails[k]
+        codes = _single_var_codes(t)
+        at_point = [[0 if e is None else e[1] * point[e[0]] for e in row] for row in codes]
+        _, rows = _rref([[at_point[i][j] for i in range(t.nrows)] for j in cols])
+        if len(rows) != len(cols):
+            raise ArithmeticError(f"d_{k + 2} block is singular at the point")
+        (odd if k % 2 else even).append(_det(t.submatrix(rows, cols)))
+        cols = sorted(set(range(t.nrows)).difference(rows))
+    if len(cols) != m.nrows:
+        raise ArithmeticError(f"final block is {m.nrows} x {len(cols)}, not square")
+    delta = _det(m.submatrix(range(m.nrows), cols))
+    if delta.is_zero():
+        return delta
+    for f in odd:
+        delta = delta * f
+    for f in even:
+        delta = exact_divide(delta, f)
+    return delta.sign_normalized()

@@ -1,11 +1,12 @@
-"""Generic systems, multiplication-map matrices and subresultants.
+"""Generic systems, Koszul and multiplication matrices, and subresultants.
 
 The generic system has P_i = sum over |alpha| = d_i of c_{i,alpha} x^alpha
 with one fresh coefficient variable per (i, alpha).  The subresultant for a
 monomial set S in degree nu is realized as the sign-normalized gcd of the
 maximal minors of the degree-nu multiplication-map matrix with the rows
 indexed by S deleted.  S indexes DELETED rows: its span complements the
-degree-nu part of the ideal inside the full degree-nu space.
+degree-nu part of the ideal inside the full degree-nu space.  That gcd is the
+determinant of the deleted Koszul complex (Chardin): one Cayley ratio.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .hilbert import DegreeVector, expected_multidegree, hilbert_value, thresholds
-from .linalg import ExactMatrix, GenericRankError, gcd_of_maximal_minors, rank_over_Q
+from .linalg import ExactMatrix, gcd_of_maximal_minors, rank_over_Q
 from .polyring import Polynomial, VarUniverse, grevlex_key, monomials_of_degree
 
 
@@ -58,14 +59,6 @@ class MonomialSet:
 
     nu: int
     monomials: tuple[tuple[int, ...], ...]  # x-exponent tuples, grevlex desc
-
-
-@dataclass(frozen=True)
-class MacaulayMap:
-    nu: int
-    matrix: ExactMatrix
-    row_monomials: tuple[tuple[int, ...], ...]
-    col_blocks: tuple[tuple[int, tuple[int, ...]], ...]  # (i, multiplier exp)
 
 
 @dataclass(frozen=True)
@@ -117,31 +110,58 @@ def x_monomials(sys: GenericSystem, degree: int) -> list[tuple[int, ...]]:
     return monomials_of_degree(sys.n, degree)
 
 
-def build_macaulay_map(sys: GenericSystem, nu: int) -> MacaulayMap:
+def koszul_matrices(
+    sys: GenericSystem, nu: int, deleted: Iterable[tuple[int, ...]] = ()
+) -> list[ExactMatrix]:
+    """Degree-nu Koszul differentials d_1, d_2, ... of the generic system.
+
+    K_k has basis pairs (I, m): I a k-subset of the inputs, in lex order,
+    and m an x-monomial of degree nu - sum(d_i for i in I), grevlex
+    descending; K_0 is the degree-nu monomials.  Column (I, m) of d_k holds
+    sum_t (-1)^t m * P_{I_t} in block I without I_t, so every entry is 0 or
+    +-one coefficient variable and d_1 is the multiplication map.  d_1 comes
+    without the rows of ``deleted``; the list ends before the first K_k = 0.
+    """
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    n = sys.n
-    rows = x_monomials(sys, nu)
-    row_pos = {m: i for i, m in enumerate(rows)}
-    col_blocks: list[tuple[int, tuple[int, ...]]] = []
-    for i, d in enumerate(sys.dv.degrees):
-        if nu - d < 0:
-            continue
-        for mprime in x_monomials(sys, nu - d):
-            col_blocks.append((i, mprime))
-    entries = [[0] * len(col_blocks) for _ in rows]
-    for ci, (i, mprime) in enumerate(col_blocks):
-        d = sys.dv.degrees[i]
-        for alpha in monomials_of_degree(n, d):
-            m = tuple(a + b for a, b in zip(alpha, mprime))
-            var = Polynomial.variable(sys.universe, sys.coefficient_name(i, alpha))
-            entries[row_pos[m]][ci] = var
-    return MacaulayMap(
-        nu=nu,
-        matrix=ExactMatrix(entries, universe=sys.universe),
-        row_monomials=tuple(rows),
-        col_blocks=tuple(col_blocks),
-    )
+    n, degrees, universe = sys.n, sys.dv.degrees, sys.universe
+    monos = x_monomials(sys, nu)
+    drop = set(deleted)
+    if not drop <= set(monos):
+        raise InvalidMonomialSetError("S contains monomials outside degree nu")
+    # the terms of every P_i: (alpha, coefficient variable)
+    terms = [
+        [(alpha, Polynomial.variable(universe, sys.coefficient_name(i, alpha)))
+         for alpha in monomials_of_degree(n, d)]
+        for i, d in enumerate(degrees)
+    ]
+    rows = [((), m) for m in monos if m not in drop]
+    mats = []
+    for k in range(1, n + 1):
+        cols = [(I, m) for I in combinations(range(n), k)
+                for m in x_monomials(sys, nu - sum(degrees[i] for i in I))]
+        if k > 1 and not cols:
+            break
+        row_pos = {b: r for r, b in enumerate(rows)}
+        entries = [[0] * len(cols) for _ in rows]
+        for c, (I, m) in enumerate(cols):
+            for t, i in enumerate(I):
+                rest = I[:t] + I[t + 1 :]
+                for alpha, v in terms[i]:
+                    r = row_pos.get((rest, tuple(a + e for a, e in zip(alpha, m))))
+                    if r is not None:  # None only for the deleted rows of d_1
+                        entries[r][c] = -v if t % 2 else v
+        mats.append(ExactMatrix(entries, universe=universe))
+        rows = cols
+    return mats
+
+
+def regular_point(sys: GenericSystem) -> list[int]:
+    """Value of every universe variable at P_i = x_i^{d_i}: a regular
+    sequence, so the Koszul complex is exact there."""
+    ones = {sys.coefficient_name(i, [d * (j == i) for j in range(sys.n)])
+            for i, d in enumerate(sys.dv.degrees)}
+    return [int(name in ones) for name in sys.universe.names]
 
 
 def multiplication_matrix(
@@ -151,7 +171,7 @@ def multiplication_matrix(
 
     Rows are the degree-t monomials, grevlex descending; each form q of
     degree d contributes one column per degree-(t - d) multiplier m', in
-    the same order as the columns of ``build_macaulay_map``, holding the
+    the same order as the columns of d_1 in ``koszul_matrices``, holding the
     coefficients of m' * q.  Only the first n exponents of q are read.
     """
     rows = monomials_of_degree(n, t)
@@ -222,15 +242,6 @@ def parse_monomial_set(text: str, sys: GenericSystem, nu: int) -> MonomialSet:
     return validate_S(sys, nu, monos)
 
 
-def deleted_matrix(sys: GenericSystem, nu: int, S: MonomialSet) -> ExactMatrix:
-    mm = build_macaulay_map(sys, nu)
-    drop = set(S.monomials)
-    keep = [i for i, m in enumerate(mm.row_monomials) if m not in drop]
-    if len(keep) != len(mm.row_monomials) - len(S.monomials):
-        raise InvalidMonomialSetError("S contains monomials outside degree nu")
-    return mm.matrix.submatrix(keep, range(mm.matrix.ncols))
-
-
 def subresultant(sys: GenericSystem, nu: int, S: MonomialSet) -> SubresultantResult:
     dv = sys.dv
     if not dv.is_sorted_descending:
@@ -244,13 +255,9 @@ def subresultant(sys: GenericSystem, nu: int, S: MonomialSet) -> SubresultantRes
     in_range = th.nu_min <= nu <= th.nu_max
     if S.nu != nu:
         raise InvalidMonomialSetError("monomial set was validated for a different nu")
-    mat = deleted_matrix(sys, nu, S)
-    if mat.nrows > mat.ncols:
-        return _zero_result(sys, nu, S, in_range)
-    try:
-        delta = gcd_of_maximal_minors(mat)
-    except GenericRankError:
-        # proved: the sweep found every maximal minor identically zero
+    mat, *tails = koszul_matrices(sys, nu, S.monomials)
+    delta = gcd_of_maximal_minors(mat, tails, regular_point(sys))
+    if delta.is_zero():
         return _zero_result(sys, nu, S, in_range)
     degrees, homogeneous = delta.multidegree_by_group()
     degrees = {g: d for g, d in degrees.items() if g != "x"}

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive: inclusion-exclusion instead of
 series manipulation, permutation expansion and Bareiss elimination instead
-of the packed minors sweep, term-by-term Polynomial products instead of the
-packed substitution kernel, sympy instead of the package's own
+of the packed minors sweep, the gcd of every maximal minor instead of one
+Cayley ratio of determinants, term-by-term Polynomial products instead of
+the packed substitution kernel, sympy instead of the package's own
 factorization pipeline.  The point is that an oracle shares no code path
-with the implementation it checks.
+with the implementation it checks; the gcd of minors shares only the packed
+sweep, which is checked against Bareiss on its own.
 """
 
 import math
@@ -15,7 +17,14 @@ from itertools import combinations, permutations
 
 import sympy
 
-from msubres.polyring import Polynomial, UniverseMismatchError, exact_divide
+from msubres.linalg import _packed_minors
+from msubres.polyring import (
+    Polynomial,
+    UniverseMismatchError,
+    divide_qq,
+    exact_divide,
+    gcd_multivariate,
+)
 
 
 def hilbert_inclusion_exclusion(n, degrees, t):
@@ -82,6 +91,35 @@ def bareiss_determinant(rows):
                 m[i][j] = divide(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
         prev = m[k][k]
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+
+
+def gcd_of_minors_by_gcd(m):
+    """Sign-normalized gcd of every maximal minor of a 0/+-variable
+    ExactMatrix, content retained; the zero polynomial if all vanish.  The
+    reference for the Cayley ratio of linalg.gcd_of_maximal_minors: all
+    minors from one packed sweep, visited sparsest first, each either settled
+    by an exact division or folded in by the general gcd."""
+    r, c = m.nrows, m.ncols
+    if r > c:
+        raise ValueError("need rows <= columns")
+    universe = m.universe
+    if r == 0:
+        return Polynomial.constant(universe, 1)
+    packed = _packed_minors(m)
+
+    g = Polynomial.zero(universe)
+    for cols in sorted(packed, key=lambda cols: (len(packed[cols]), cols)):
+        minor = packed[cols]
+        if not g.is_zero():
+            # the running gcd already divides this minor with an integer
+            # quotient: the minor cannot refine it
+            quo = divide_qq(minor, g)
+            if quo is not None and all(cf.denominator == 1 for cf in quo.terms.values()):
+                continue
+        g = gcd_multivariate(g, minor)
+        if g.is_constant() and abs(g.constant_value()) == 1:
+            break
+    return g.sign_normalized()
 
 
 def specialize_by_terms(poly, assignment, target=None):

@@ -6,7 +6,6 @@ import pytest
 
 from msubres.linalg import (
     ExactMatrix,
-    GenericRankError,
     SymbolicEntryError,
     _packed_minors,
     gcd_of_maximal_minors,
@@ -14,7 +13,7 @@ from msubres.linalg import (
     rank_over_Q,
 )
 from msubres.polyring import Polynomial, VarUniverse, divides
-from oracles import bareiss_determinant, permutation_determinant
+from oracles import bareiss_determinant, gcd_of_minors_by_gcd, permutation_determinant
 
 U = VarUniverse(["a", "b", "c", "d"], {"g": ["a", "b", "c", "d"]})
 
@@ -108,7 +107,7 @@ def test_gcd_of_maximal_minors_common_factor():
     a, b, c, d = (Polynomial.variable(U, nm) for nm in "abcd")
     rows = [[a, b, c], [0, 0, d]]
     m = ExactMatrix(rows, universe=U)
-    assert gcd_of_maximal_minors(m) == d
+    assert gcd_of_minors_by_gcd(m) == d
     for cols in combinations(range(3), 2):
         minor = bareiss_determinant([[row[j] for j in cols] for row in rows])
         assert divides(d, minor)
@@ -118,15 +117,41 @@ def test_gcd_of_maximal_minors_integer():
     # scalar entries have no packed sweep: the caller passed the wrong matrix
     m = ExactMatrix([[2, 4, 6], [0, 2, 4]], universe=U)
     with pytest.raises(SymbolicEntryError):
-        gcd_of_maximal_minors(m)
+        gcd_of_minors_by_gcd(m)
+    with pytest.raises(SymbolicEntryError):
+        gcd_of_maximal_minors(m.submatrix([0, 1], [0, 1]))
 
 
 def test_gcd_of_maximal_minors_rank_deficient():
     # two equal rows: every minor cancels to zero, and the sweep proves it
     a, b, c = (Polynomial.variable(U, nm) for nm in "abc")
     m = ExactMatrix([[a, b, c], [a, b, c]], universe=U)
-    with pytest.raises(GenericRankError):
+    assert gcd_of_minors_by_gcd(m).is_zero()
+
+
+def test_gcd_of_maximal_minors_zero():
+    # a rank-deficient square matrix: the determinant is zero and so is the gcd
+    a, b = (Polynomial.variable(U, nm) for nm in "ab")
+    m = ExactMatrix([[a, b], [-a, -b]], universe=U)
+    assert gcd_of_maximal_minors(m) == Polynomial.zero(U)
+
+
+def test_gcd_of_maximal_minors_rejects_broken_tails():
+    # invariant failures are ArithmeticError, never ValueError (invalid input)
+    a, b, c, d = (Polynomial.variable(U, nm) for nm in "abcd")
+    m = ExactMatrix([[a, b, 0], [0, c, d]], universe=U)
+    point = [1, 1, 1, 1]
+    # no tail: the final block is 2 x 3
+    with pytest.raises(ArithmeticError):
         gcd_of_maximal_minors(m)
+    # a rank-2 tail leaves one column for two rows
+    tail = ExactMatrix([[a, 0], [0, b], [0, 0]], universe=U)
+    with pytest.raises(ArithmeticError, match="not square"):
+        gcd_of_maximal_minors(m, [tail], point)
+    # a tail block that is singular at the point
+    tail = ExactMatrix([[a], [0], [0]], universe=U)
+    with pytest.raises(ArithmeticError, match="singular"):
+        gcd_of_maximal_minors(m, [tail], [0, 1, 1, 1])
 
 
 def test_gcd_of_maximal_minors_reaches_prs(monkeypatch):
@@ -150,7 +175,7 @@ def test_gcd_of_maximal_minors_reaches_prs(monkeypatch):
 
     monkeypatch.setattr(polyring, "_prs_gcd", counted_prs)
     delta = a * d - b * c
-    got = gcd_of_maximal_minors(m)
+    got = gcd_of_minors_by_gcd(m)
     assert got == delta or got == -delta
     assert calls
 
@@ -183,11 +208,11 @@ def test_single_variable_determinant_against_permutation_oracle():
 
 def test_packed_minors_match_bareiss_on_wide_deleted_matrix():
     # (4,1,1), nu=3: 9 x 12, 220 maximal minors, from one sweep
-    from msubres.subres import build_generic_system, deleted_matrix, enumerate_S
+    from msubres.subres import build_generic_system, enumerate_S, koszul_matrices
 
     sys_ = build_generic_system(3, (4, 1, 1))
     S = enumerate_S(sys_, 3, limit=1, seed=1)[0]
-    m = deleted_matrix(sys_, 3, S)
+    m = koszul_matrices(sys_, 3, S.monomials)[0]
     assert (m.nrows, m.ncols) == (9, 12)
     packed = {tuple(sorted(cols)): p for cols, p in _packed_minors(m).items()}
     zero = Polynomial.zero(sys_.universe)
@@ -202,13 +227,13 @@ def test_packed_minors_match_bareiss_on_wide_deleted_matrix():
 def test_packed_vs_cofactor_on_macaulay_shape():
     # r x (r+1) matrix whose entries are single variables or zero exercises
     # the packed all-minors path against plain determinants
-    from msubres.subres import build_generic_system, deleted_matrix, enumerate_S
+    from msubres.subres import build_generic_system, enumerate_S, koszul_matrices, regular_point
 
     sys_ = build_generic_system(2, (3, 2))
     S = enumerate_S(sys_, 3, limit=1, seed=1)[0]
-    m = deleted_matrix(sys_, 3, S)
+    m, *tails = koszul_matrices(sys_, 3, S.monomials)
     assert m.ncols == m.nrows + 1 or m.ncols == m.nrows
-    g = gcd_of_maximal_minors(m)
+    g = gcd_of_maximal_minors(m, tails, regular_point(sys_))
     rows = list(range(m.nrows))
     minors = []
     for omit in range(m.ncols):
