@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .hilbert import DegreeVector, hilbert_value, thresholds
 from .irred import irreducibility_verdict
-from .polyring import poly_to_doc
+from .polyring import UniverseMismatchError, ZeroPolynomialError, poly_to_doc
 from .residual import (
     GenericPositionError,
     ZeroResidualError,
@@ -102,7 +102,7 @@ def _case_seed(base: Optional[int], dv: DegreeVector, nu: int) -> int:
     return mix or 1
 
 
-def _mono_str(dv_n: int, exp: tuple[int, ...]) -> str:
+def _mono_str(exp: tuple[int, ...]) -> str:
     parts = []
     for i, e in enumerate(exp):
         if e == 1:
@@ -153,7 +153,7 @@ def _run_case(cfg: SweepConfig, dv: DegreeVector, nu: int) -> dict:
     for S in sets:
         res = subresultant(sys_, nu, S)
         entry = {
-            "S": [_mono_str(dv.n, m) for m in S.monomials],
+            "S": [_mono_str(m) for m in S.monomials],
             "zero": res.is_zero,
             "multidegrees": dict(sorted(res.multidegrees.items())),
             "content": res.content,
@@ -342,7 +342,7 @@ def cmd_delta(args) -> int:
         "n": args.n,
         "degrees": list(degrees),
         "nu": args.nu,
-        "S": [_mono_str(args.n, m) for m in S.monomials],
+        "S": [_mono_str(m) for m in S.monomials],
         "zero": res.is_zero,
         "in_range": res.in_range,
         "multidegrees": dict(sorted(res.multidegrees.items())),
@@ -419,7 +419,7 @@ def cmd_residual(args) -> int:
         "ideal": ideal_to_doc(ideal),
         "results": [
             {
-                "S": [_mono_str(dv.n, m) for m in r.monomial_set.monomials],
+                "S": [_mono_str(m) for m in r.monomial_set.monomials],
                 "constant": str(r.constant),
                 "multidegrees": dict(sorted(r.multidegrees.items())),
                 "primitive_terms": len(r.primitive),
@@ -507,12 +507,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
     try:
         return args.fn(args)
+    except (GenericPositionError, ZeroResidualError, UniverseMismatchError,
+            ZeroPolynomialError) as exc:
+        # the last two are ValueErrors, but here only an internal fault raises them
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (InvalidMonomialSetError, NuOutOfRangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (GenericPositionError, ZeroResidualError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -336,14 +336,12 @@ def irreducibility_verdict(p: Polynomial, seed: int) -> Verdict:
     rng = random.Random(seed)
     consistent: Optional[set[int]] = None
     lines_used = 0
-    drops = 0
     while lines_used < _MAX_LINES:
         img = None
         for _ in range(3):
             img = _restrict_to_line(p, rng)
             if img is not None:
                 break
-            drops += 1
         if img is None:
             return Verdict(kind="inconclusive", reason="degree dropped on every restriction")
         lines_used += 1

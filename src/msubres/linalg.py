@@ -1,7 +1,7 @@
 """Exact dense linear algebra over ZZ[vars] and QQ.
 
-Provides rational rank/kernel computations (through one Gauss-Jordan
-elimination) and the gcd of maximal minors that realizes subresultants.
+Provides rank and kernel over QQ (one fraction-free Gauss-Jordan elimination
+over ZZ) and the gcd of maximal minors that realizes subresultants.
 That gcd is the determinant of a complex that is exact at a known point,
 taken as one Cayley ratio: square blocks picked by elimination at the point,
 each determinant from one packed-exponent sweep over a matrix whose entries
@@ -170,32 +170,41 @@ def _packed_minors(m: ExactMatrix) -> dict[tuple[int, ...], Polynomial]:
     }
 
 
-# -- rational rank and kernel ----------------------------------------------
+# -- rank and kernel over Q, by integer elimination ------------------------
 
 
-def _rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a rational matrix and its pivot columns."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _integer_rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+
+    Rows are scaled to integers once, at entry.  A pivot p replaces every
+    other row by (p * row - f * pivot row) // d, d the previous pivot; each
+    division is exact, as every entry is a minor of the input (Bareiss).
+    Returns the rows, the pivot columns and d: every pivot ends equal to d,
+    so rows / d is the reduced row echelon form.
+    """
+    m = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
+    d = 1
     r = 0
     for c in range(ncols):
-        if r == nrows:
-            break
         pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        p = m[r][c]
         for i in range(nrows):
-            if i != r and m[i][c]:
+            if i != r:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [(p * x - f * y) // d for x, y in zip(m[i], m[r])]
         pivots.append(c)
+        d = p
         r += 1
-    return m, pivots
+    return m, pivots, d
 
 
 def _require_scalar(m: ExactMatrix):
@@ -205,7 +214,7 @@ def _require_scalar(m: ExactMatrix):
 
 def rank_over_Q(m: ExactMatrix) -> int:
     _require_scalar(m)
-    _, pivots = _rref(m.entries)
+    _, pivots, _ = _integer_rref(m.entries)
     return len(pivots)
 
 
@@ -216,24 +225,20 @@ def kernel_basis_over_Q(m: ExactMatrix) -> list[list[int]]:
     the result deterministic.
     """
     _require_scalar(m)
-    red, pivots = _rref(m.entries)
+    red, pivots, d = _integer_rref(m.entries)
     basis = []
     for fc in range(m.ncols):
         if fc in pivots:
             continue
-        # one vector per free column, 1 in that column
-        vec = [Fraction(0)] * m.ncols
-        vec[fc] = Fraction(1)
+        # one vector per free column: d times the vector with 1 there
+        vec = [0] * m.ncols
+        vec[fc] = d
         for ri, pc in enumerate(pivots):
             vec[pc] = -red[ri][fc]
-        den = 1
-        for v in vec:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        ints = [int(v * den) for v in vec]
-        g = math.gcd(*(abs(x) for x in ints))
-        lead = next(x for x in ints if x)
-        sgn = 1 if lead > 0 else -1
-        basis.append([sgn * x // g for x in ints])
+        g = math.gcd(*vec)
+        if next(x for x in vec if x) < 0:
+            g = -g
+        basis.append([x // g for x in vec])
     return basis
 
 
@@ -272,7 +277,7 @@ def gcd_of_maximal_minors(
         t = tails[k]
         codes = _single_var_codes(t)
         at_point = [[0 if e is None else e[1] * point[e[0]] for e in row] for row in codes]
-        _, rows = _rref([[at_point[i][j] for i in range(t.nrows)] for j in cols])
+        _, rows, _ = _integer_rref([[at_point[i][j] for i in range(t.nrows)] for j in cols])
         if len(rows) != len(cols):
             raise ArithmeticError(f"d_{k + 2} block is singular at the point")
         (odd if k % 2 else even).append(_det(t.submatrix(rows, cols)))

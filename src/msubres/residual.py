@@ -155,13 +155,12 @@ def points_ideal(ps: PointSet, degree: int, t_max: Optional[int] = None) -> Poin
     universe = x_universe(ps.n)
     monos = monomials_of_degree(ps.n, degree)
     kernel = kernel_basis_over_Q(_evaluation_matrix(ps, degree))
-    gens = []
-    for vec in kernel:
-        poly = Polynomial(universe, {
-            tuple(m): c for m, c in zip(monos, vec) if c
-        })
-        gens.append(poly.content_and_primitive().primitive)
-    return PointsIdeal(points=ps, degree=degree, generators=tuple(gens), certificate=cert)
+    # kernel vectors are primitive and their first entry, the leading term, is positive
+    gens = tuple(
+        Polynomial(universe, {tuple(m): c for m, c in zip(monos, vec) if c})
+        for vec in kernel
+    )
+    return PointsIdeal(points=ps, degree=degree, generators=gens, certificate=cert)
 
 
 def points_ideal_with_retries(
@@ -337,15 +336,11 @@ def residual_resultant(
 # -- the implication chain --------------------------------------------------
 
 
-def _multiplication_rank(dv: DegreeVector, qs: Sequence[Polynomial], t: int) -> int:
-    """Rank of the degree-t part of the ideal generated by qs."""
-    return rank_over_Q(ExactMatrix(multiplication_matrix(dv.n, zip(qs, dv.degrees), t)))
-
-
 def ideal_hilbert_value(dv: DegreeVector, qs: Sequence[Polynomial], t: int) -> int:
     """Hilbert function of the quotient by (q_1..q_n) at degree t."""
     dim = math.comb(t + dv.n - 1, dv.n - 1) if t >= 0 else 0
-    return dim - _multiplication_rank(dv, qs, t)
+    mult = multiplication_matrix(dv.n, zip(qs, dv.degrees), t)
+    return dim - rank_over_Q(ExactMatrix(mult))
 
 
 def _in_ideal_span(ideal: PointsIdeal, q: Polynomial, d: int) -> bool:
@@ -389,7 +384,7 @@ def implication_chain_check(
     a = a_value(dv, nu)
     p1 = specialize_delta(sys, delta, qs) != 0
     p2 = ideal_hilbert_value(dv, qs, nu) == a
-    p3 = all(ideal_hilbert_value(dv, qs, t) == a for t in range(nu, nu + 3))
+    p3 = p2 and all(ideal_hilbert_value(dv, qs, t) == a for t in (nu + 1, nu + 2))
     if p1 and not p2:
         raise AssertionError("first implication violated")
     if p2 and not p3:

@@ -166,7 +166,7 @@ def regular_point(sys: GenericSystem) -> list[int]:
 
 def multiplication_matrix(
     n: int, forms: Iterable[tuple[Polynomial, int]], t: int
-) -> list[list[Fraction]]:
+) -> list[list[int | Fraction]]:
     """Concrete degree-t multiplication matrix of forms (q, d) in x1..xn.
 
     Rows are the degree-t monomials, grevlex descending; each form q of
@@ -177,7 +177,7 @@ def multiplication_matrix(
     rows = monomials_of_degree(n, t)
     row_pos = {m: i for i, m in enumerate(rows)}
     cols = [(q, mprime) for q, d in forms for mprime in monomials_of_degree(n, t - d)]
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
+    mat = [[0] * len(cols) for _ in rows]
     for j, (q, mprime) in enumerate(cols):
         for exp, c in q.terms.items():
             mat[row_pos[tuple(e + m for e, m in zip(exp, mprime))]][j] += c
@@ -342,7 +342,7 @@ def universal_property_check(
         _check_homogeneous(q, d)
     mat = multiplication_matrix(sys.n, forms, nu)
     for row, m in zip(mat, x_monomials(sys, nu)):
-        row.extend(Fraction(int(m == s)) for s in S.monomials)
+        row.extend(int(m == s) for s in S.monomials)
     return rank_over_Q(ExactMatrix(mat)) == len(mat)
 
 

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: inclusion-exclusion instead of
 series manipulation, permutation expansion and Bareiss elimination instead
-of the packed minors sweep, the gcd of every maximal minor instead of one
-Cayley ratio of determinants, term-by-term Polynomial products instead of
-the packed substitution kernel, sympy instead of the package's own
-factorization pipeline.  The point is that an oracle shares no code path
+of the packed minors sweep, Gauss-Jordan over Fraction instead of the
+fraction-free integer elimination, the gcd of every maximal minor instead
+of one Cayley ratio of determinants, term-by-term Polynomial products
+instead of the packed substitution kernel, sympy instead of the package's
+own factorization pipeline.  The point is that an oracle shares no code path
 with the implementation it checks; the gcd of minors shares only the packed
 sweep, which is checked against Bareiss on its own.
 """
@@ -91,6 +92,54 @@ def bareiss_determinant(rows):
                 m[i][j] = divide(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
         prev = m[k][k]
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form of a rational matrix and its pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def fraction_kernel_basis(rows, ncols):
+    """Right-kernel basis from fraction_rref, one vector per free column,
+    each scaled to integers with content 1 and a positive first entry."""
+    red, pivots = fraction_rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -red[ri][fc]
+        den = 1
+        for v in vec:
+            den = den * v.denominator // math.gcd(den, v.denominator)
+        ints = [int(v * den) for v in vec]
+        g = math.gcd(*(abs(x) for x in ints))
+        lead = next(x for x in ints if x)
+        sgn = 1 if lead > 0 else -1
+        basis.append([sgn * x // g for x in ints])
+    return basis
 
 
 def gcd_of_minors_by_gcd(m):

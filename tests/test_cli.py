@@ -4,6 +4,7 @@ import pytest
 
 from msubres import cli
 from msubres.cli import SweepConfig, main, report_body, run_sweep
+from msubres.polyring import UniverseMismatchError, ZeroPolynomialError
 
 
 def test_hilbert_text(capsys):
@@ -88,6 +89,21 @@ def test_delta_zero_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "subresultant", fake)
     code = main(["delta", "--n", "2", "--degrees", "2,2", "--nu", "2", "--S", "x1*x2"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "error", [UniverseMismatchError, ZeroPolynomialError], ids=lambda e: e.__name__
+)
+def test_internal_value_errors_are_failures(monkeypatch, capsys, error):
+    # these ValueError subclasses come from a fault inside the pipeline, not
+    # from invalid input: exit 1, not 2
+    def fake(sys_arg, nu, S):
+        raise error("internal fault")
+
+    monkeypatch.setattr(cli, "subresultant", fake)
+    code = main(["delta", "--n", "2", "--degrees", "2,2", "--nu", "2", "--S", "x1*x2"])
+    assert code == 1
+    assert "internal fault" in capsys.readouterr().err
 
 
 def test_verify_exhaustive_small(capsys):

@@ -7,13 +7,20 @@ import pytest
 from msubres.linalg import (
     ExactMatrix,
     SymbolicEntryError,
+    _integer_rref,
     _packed_minors,
     gcd_of_maximal_minors,
     kernel_basis_over_Q,
     rank_over_Q,
 )
 from msubres.polyring import Polynomial, VarUniverse, divides
-from oracles import bareiss_determinant, gcd_of_minors_by_gcd, permutation_determinant
+from oracles import (
+    bareiss_determinant,
+    fraction_kernel_basis,
+    fraction_rref,
+    gcd_of_minors_by_gcd,
+    permutation_determinant,
+)
 
 U = VarUniverse(["a", "b", "c", "d"], {"g": ["a", "b", "c", "d"]})
 
@@ -88,6 +95,66 @@ def test_kernel_vectors_normalized():
 def test_rank_deficient_known():
     m = ExactMatrix([[1, 2], [2, 4], [3, 6]])
     assert rank_over_Q(m) == 1
+
+
+def _random_rational_rows(rng):
+    """One seeded matrix: int, Fraction or mixed entries, small or near
+    10^30, possibly a rank-deficient product, with zero rows and columns."""
+    r, c = rng.randint(0, 6), rng.randint(1, 7)
+    if rng.random() < 0.2:
+        c = 1
+    bound = 10**30 if rng.random() < 0.25 else 6
+    kind = rng.choice(("int", "fraction", "mixed"))
+
+    def entry():
+        num = rng.randint(-bound, bound)
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return num
+        return Fraction(num, rng.randint(1, bound))
+
+    if rng.random() < 0.3 and r and c:
+        # a product through a narrow middle: rank at most k
+        k = rng.randint(0, min(r, c) - 1)
+        a = [[entry() for _ in range(k)] for _ in range(r)]
+        b = [[entry() for _ in range(c)] for _ in range(k)]
+        rows = [[sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(c)]
+                for i in range(r)]
+    else:
+        rows = [[entry() for _ in range(c)] for _ in range(r)]
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(r)] = [0] * c
+    if rows and rng.random() < 0.3:
+        j = rng.randrange(c)
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def test_integer_rref_against_fraction_oracle():
+    # the fraction-free elimination reproduces Gauss-Jordan over Fraction:
+    # the same pivots, rows / d equal to the RREF, and the same rank and
+    # kernel vectors
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(1200):
+        rows = _random_rational_rows(rng)
+        ref_rows, ref_pivots = fraction_rref(rows)
+        red, pivots, d = _integer_rref(rows)
+        assert pivots == ref_pivots
+        assert all(isinstance(x, int) for row in red for x in row)
+        assert all(red[i][pc] == d for i, pc in enumerate(pivots))
+        assert [[Fraction(x, d) for x in row] for row in red] == ref_rows
+        ncols = len(rows[0]) if rows else 0
+        m = ExactMatrix(rows)
+        assert rank_over_Q(m) == len(ref_pivots)
+        assert kernel_basis_over_Q(m) == fraction_kernel_basis(rows, ncols)
+        if not rows:
+            seen.add("no rows")
+        if ncols == 1:
+            seen.add("one column")
+        if len(pivots) < min(len(rows), ncols):
+            seen.add("rank deficient")
+    assert seen == {"no rows", "one column", "rank deficient"}
 
 
 def test_gcd_of_maximal_minors_square():

@@ -52,6 +52,11 @@ def test_points_ideal_certificate():
     ideal = points_ideal(ps, 2)
     for t, (rank, expected) in ideal.certificate.items():
         assert rank == expected
+    # kernel vectors have content 1 and a positive first entry, in grevlex
+    # descending order: each generator is its own primitive part
+    assert len(ideal.generators) == 3
+    for g in ideal.generators:
+        assert g == g.content_and_primitive().primitive
 
 
 def test_points_ideal_rejects_too_low_degree():
