@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .hilbert import DegreeVector, hilbert_value, thresholds
-from .irred import irreducibility_verdict
+from .irred import VerdictPreconditionError, irreducibility_verdict
 from .polyring import UniverseMismatchError, ZeroPolynomialError, poly_to_doc
 from .residual import (
     GenericPositionError,
@@ -508,8 +508,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except (GenericPositionError, ZeroResidualError, UniverseMismatchError,
-            ZeroPolynomialError) as exc:
-        # the last two are ValueErrors, but here only an internal fault raises them
+            ZeroPolynomialError, VerdictPreconditionError) as exc:
+        # the last three are ValueErrors, but here only an internal fault raises them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (InvalidMonomialSetError, NuOutOfRangeError, ValueError) as exc:

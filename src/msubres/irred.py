@@ -4,7 +4,8 @@ The verdict pipeline is one-sided by design: Irreducible is claimed only
 when the factor-degree patterns of random line restrictions, factored
 modulo several ~10^4 primes, exclude every nontrivial split; Reducible is
 claimed only with a witness that divides exactly.  Everything else is
-Inconclusive.
+Inconclusive.  A line restriction is one exact integer evaluation
+(Kronecker substitution), and the power test reads the leading term once.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from .polyring import Polynomial
 
 PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079)
 _MAX_LINES = 3
+
+
+class VerdictPreconditionError(ValueError):
+    """The verdict got a constant or non-primitive polynomial: a caller's fault."""
 
 
 @dataclass(frozen=True)
@@ -57,11 +62,10 @@ def _iroot(c: int, k: int) -> Optional[int]:
     return r if r**k == c else None
 
 
-def _kth_root(p: Polynomial, k: int) -> Optional[Polynomial]:
-    """b with b^k == p (greedy leading-term extraction), or None."""
-    lt_exp, lt_c = p.leading_term()
-    if any(e % k for e in lt_exp):
-        return None
+def _kth_root(
+    p: Polynomial, k: int, lt_exp: tuple[int, ...], lt_c: int
+) -> Optional[Polynomial]:
+    """b with b^k == p, or None; (lt_exp, lt_c) is p's leading term, k | lt_exp."""
     root_c = _iroot(int(lt_c), k)
     if root_c is None:
         return None
@@ -87,19 +91,18 @@ def _kth_root(p: Polynomial, k: int) -> Optional[Polynomial]:
 
 
 def power_form(p: Polynomial) -> tuple[Polynomial, int]:
-    """Maximal k >= 1 and base b with p = +-b^k; k = 1 means no proper power."""
+    """Maximal k >= 1 and base b with p = +-b^k; k = 1 means no proper power.
+
+    Such a k divides every leading exponent, and +-p with lc > 0 is +-b^k.
+    """
     if p.is_zero() or p.is_constant():
         raise ValueError("power_form requires a nonconstant polynomial")
-    deg = p.degree()
-    degrees, _ = p.multidegree_by_group()
-    bound = deg
-    for d in degrees.values():
-        if d:
-            bound = math.gcd(bound, d)
-    candidates = sorted((k for k in range(2, bound + 1) if bound % k == 0), reverse=True)
-    for k in candidates:
-        for q in (p, -p):
-            b = _kth_root(q, k)
+    lt_exp, lt_c = p.leading_term()
+    q = p if lt_c > 0 else -p
+    bound = math.gcd(*lt_exp)
+    for k in range(bound, 1, -1):
+        if bound % k == 0:
+            b = _kth_root(q, k, lt_exp, abs(lt_c))
             if b is not None:
                 return b, k
     return p, 1
@@ -238,11 +241,12 @@ def _distinct_degree_pattern(f: list[int], p: int) -> list[int]:
 def degree_pattern(f: list[int], p: int) -> Optional[list[int]]:
     """Irreducible factor degrees (with multiplicity) of f mod p.
 
-    None when f degenerates mod p (leading coefficient vanishes).
+    None when f degenerates mod p (leading coefficient vanishes) or is
+    constant.
     """
-    f = _um_trim([c % p for c in f])
-    if not f or len(f) == 1:
+    if len(f) < 2 or f[-1] % p == 0:
         return None
+    f = [c % p for c in f]
     monic = [c * pow(f[-1], -1, p) % p for c in f]
     pattern = []
     for sf, mult in _squarefree_parts(monic, p):
@@ -265,41 +269,38 @@ def _achievable_sums(pattern: list[int], total: int) -> frozenset[int]:
 
 
 def _line_image(p: Polynomial, lines: Sequence[tuple[int, int]]) -> list:
-    """Restrict to x_i = a_i*t + b_i; dense coefficient list in t (ints)."""
+    """Restrict to x_i = a_i*t + b_i; dense coefficient list in t (ints).
+
+    Kronecker substitution: with s = max(1, max_i |a_i| + |b_i|), each image
+    coefficient is at most B = sum |c| * s^deg in absolute value, so p is
+    evaluated once at x_i = a_i 2^w + b_i, w = bitlength(B) + 1, and the
+    image read off as signed base-2^w digits.
+    """
     deg = p.degree()
-    pow_cache: dict[tuple[int, int], list[int]] = {}
-
-    def linpow(i: int, e: int) -> list[int]:
-        key = (i, e)
-        got = pow_cache.get(key)
-        if got is not None:
-            return got
-        a, b = lines[i]
-        cur = [1]
-        for _ in range(e):
-            nxt = [0] * (len(cur) + 1)
-            for j, c in enumerate(cur):
-                nxt[j] += c * b
-                nxt[j + 1] += c * a
-            cur = nxt
-        pow_cache[key] = cur
-        return cur
-
-    out = [0] * (deg + 1)
+    if deg < 0:
+        return []
+    s = max([1] + [abs(a) + abs(b) for a, b in lines])
+    w = (sum(abs(c) for c in p.terms.values()) * s**deg).bit_length() + 1
+    points = [(a << w) + b for a, b in lines]
+    powers: dict[tuple[int, int], int] = {}
+    value = 0
     for exp, c in p.terms.items():
-        cur = [c]
         for i, e in enumerate(exp):
             if e:
-                pe = linpow(i, e)
-                nxt = [0] * (len(cur) + len(pe) - 1)
-                for j, cj in enumerate(cur):
-                    if cj:
-                        for k, pk in enumerate(pe):
-                            if pk:
-                                nxt[j + k] += cj * pk
-                cur = nxt
-        for j, cj in enumerate(cur):
-            out[j] += cj
+                pe = powers.get((i, e))
+                if pe is None:
+                    pe = powers[(i, e)] = points[i] ** e
+                c *= pe
+        value += c
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    out = []
+    for _ in range(deg + 1):
+        digit = value & mask
+        if digit & half:
+            digit -= 1 << w
+        out.append(digit)
+        value = (value - digit) >> w
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -308,8 +309,6 @@ def _line_image(p: Polynomial, lines: Sequence[tuple[int, int]]) -> list:
 def _restrict_to_line(p: Polynomial, rng: random.Random) -> Optional[list[int]]:
     """Integer coefficient list of p along x_i = a_i t + b_i, or None on drop."""
     lines = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(p.universe.n)]
-    if all(a == 0 for a, _ in lines):
-        return None
     img = _line_image(p, lines)
     if len(img) - 1 != p.degree():
         return None
@@ -318,12 +317,11 @@ def _restrict_to_line(p: Polynomial, rng: random.Random) -> Optional[list[int]]:
 
 def irreducibility_verdict(p: Polynomial, seed: int) -> Verdict:
     if p.is_zero() or p.is_constant():
-        raise ValueError("verdict requires a nonconstant polynomial")
+        raise VerdictPreconditionError("verdict requires a nonconstant polynomial")
     # the caller holds the content split: check it, do not redo it
     coeffs = p.terms.values()
     if not all(isinstance(c, int) for c in coeffs) or math.gcd(*coeffs) != 1:
-        raise ValueError("caller must strip integer content first")
-    p = p.sign_normalized()
+        raise VerdictPreconditionError("caller must strip integer content first")
 
     base, k = power_form(p)
     if k >= 2:
@@ -346,8 +344,6 @@ def irreducibility_verdict(p: Polynomial, seed: int) -> Verdict:
             return Verdict(kind="inconclusive", reason="degree dropped on every restriction")
         lines_used += 1
         for q in PRIMES:
-            if img[-1] % q == 0:
-                continue
             pattern = degree_pattern(img, q)
             if pattern is None:
                 continue

@@ -83,7 +83,7 @@ def _normalize_point(coords: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple(coords)
 
 
-def random_points(n: int, a: int, seed: int, bound: int = 20) -> PointSet:
+def random_points(n: int, a: int, seed: int) -> PointSet:
     """a distinct seeded points in projective (n-1)-space."""
     if a < 1:
         raise ValueError("need at least one point")
@@ -95,7 +95,7 @@ def random_points(n: int, a: int, seed: int, bound: int = 20) -> PointSet:
     budget = 200 * a
     while len(points) < a and budget > 0:
         budget -= 1
-        cand = _normalize_point([rng.randint(-bound, bound) for _ in range(n)])
+        cand = _normalize_point([rng.randint(-20, 20) for _ in range(n)])
         if cand is None or cand in seen:
             continue
         seen.add(cand)
@@ -136,16 +136,14 @@ def generic_position_certificate(
     return cert
 
 
-def points_ideal(ps: PointSet, degree: int, t_max: Optional[int] = None) -> PointsIdeal:
+def points_ideal(ps: PointSet, degree: int) -> PointsIdeal:
     dim = math.comb(degree + ps.n - 1, ps.n - 1)
     if dim <= ps.count:
         raise ValueError(
             f"degree-{degree} part has dimension {dim} <= {ps.count} points; "
             "no generators there"
         )
-    if t_max is None:
-        t_max = 2 * degree + 2
-    cert = generic_position_certificate(ps, max(t_max, degree))
+    cert = generic_position_certificate(ps, 2 * degree + 2)
     for t, (rank, expected) in cert.items():
         if rank != expected:
             raise GenericPositionError(
@@ -163,17 +161,15 @@ def points_ideal(ps: PointSet, degree: int, t_max: Optional[int] = None) -> Poin
     return PointsIdeal(points=ps, degree=degree, generators=gens, certificate=cert)
 
 
-def points_ideal_with_retries(
-    n: int, a: int, degree: int, seed: int, attempts: int = 5, t_max: Optional[int] = None
-) -> PointsIdeal:
+def points_ideal_with_retries(n: int, a: int, degree: int, seed: int) -> PointsIdeal:
     last: Optional[Exception] = None
-    for k in range(attempts):
+    for k in range(5):
         ps = random_points(n, a, seed + k)
         try:
-            return points_ideal(ps, degree, t_max=t_max)
+            return points_ideal(ps, degree)
         except GenericPositionError as exc:
             last = exc
-    raise GenericPositionError(f"no generic point set after {attempts} attempts: {last}")
+    raise GenericPositionError(f"no generic point set after 5 attempts: {last}")
 
 
 def residual_specialize(
@@ -286,21 +282,18 @@ def _coefficient_extract(rs: ResidualSystem, poly: Polynomial, alpha: tuple[int,
 
 
 def residual_resultant(
-    rs: ResidualSystem, sys: GenericSystem, S: MonomialSet,
-    delta: Optional[Polynomial] = None,
+    rs: ResidualSystem, sys: GenericSystem, S: MonomialSet
 ) -> ResidualResultantResult:
     """Specialized subresultant split into primitive part and constant.
 
     The generic system must match the residual system's degree vector; the
-    (possibly precomputed) subresultant for (nu, S) is evaluated at the
-    specialized inputs.
+    subresultant for (nu, S) is evaluated at the specialized inputs.
     """
     if rs.mode != "symbolic":
         raise ValueError("residual resultant requires the symbolic specialization")
     if sys.dv != rs.dv:
         raise ValueError("degree vectors of the two systems disagree")
-    if delta is None:
-        delta = subresultant(sys, rs.nu, S).delta
+    delta = subresultant(sys, rs.nu, S).delta
     n = rs.dv.n
     assignment: dict[str, Polynomial] = {}
     for i, d in enumerate(rs.dv.degrees):

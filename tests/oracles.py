@@ -5,8 +5,9 @@ series manipulation, permutation expansion and Bareiss elimination instead
 of the packed minors sweep, Gauss-Jordan over Fraction instead of the
 fraction-free integer elimination, the gcd of every maximal minor instead
 of one Cayley ratio of determinants, term-by-term Polynomial products
-instead of the packed substitution kernel, sympy instead of the package's
-own factorization pipeline.  The point is that an oracle shares no code path
+instead of the packed substitution kernel, convolved powers of a line
+instead of one Kronecker-substituted evaluation, sympy instead of the
+package's own factorization pipeline.  The point is that an oracle shares no code path
 with the implementation it checks; the gcd of minors shares only the packed
 sweep, which is checked against Bareiss on its own.
 """
@@ -215,6 +216,49 @@ def specialize_by_terms(poly, assignment, target=None):
             term = term * powers[(i, e)]
         acc = acc + term
     return acc
+
+
+def line_image_by_convolution(p, lines):
+    """Reference for irred._line_image: restrict to x_i = a_i*t + b_i by
+    expanding each (a_i t + b_i)^e and convolving them term by term; dense
+    coefficient list in t (ints), zero tail stripped."""
+    deg = p.degree()
+    pow_cache: dict[tuple[int, int], list[int]] = {}
+
+    def linpow(i: int, e: int) -> list[int]:
+        key = (i, e)
+        got = pow_cache.get(key)
+        if got is not None:
+            return got
+        a, b = lines[i]
+        cur = [1]
+        for _ in range(e):
+            nxt = [0] * (len(cur) + 1)
+            for j, c in enumerate(cur):
+                nxt[j] += c * b
+                nxt[j + 1] += c * a
+            cur = nxt
+        pow_cache[key] = cur
+        return cur
+
+    out = [0] * (deg + 1)
+    for exp, c in p.terms.items():
+        cur = [c]
+        for i, e in enumerate(exp):
+            if e:
+                pe = linpow(i, e)
+                nxt = [0] * (len(cur) + len(pe) - 1)
+                for j, cj in enumerate(cur):
+                    if cj:
+                        for k, pk in enumerate(pe):
+                            if pk:
+                                nxt[j + k] += cj * pk
+                cur = nxt
+        for j, cj in enumerate(cur):
+            out[j] += cj
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def sylvester_resultant(p_coeffs, q_coeffs):

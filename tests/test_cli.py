@@ -106,6 +106,23 @@ def test_internal_value_errors_are_failures(monkeypatch, capsys, error):
     assert "internal fault" in capsys.readouterr().err
 
 
+def test_verdict_precondition_fault_is_a_failure(monkeypatch, capsys):
+    # the sweep hands the verdict a primitive part; content 2 there is a fault
+    # inside the pipeline, not invalid input: exit 1, not 2
+    from msubres import irred
+
+    def doubled(p, seed):
+        return irred.irreducibility_verdict(p * 2, seed)
+
+    monkeypatch.setattr(cli, "irreducibility_verdict", doubled)
+    code = main(
+        ["verify", "--degrees", "2,2", "--n", "2", "--nu-mode", "above-bound",
+         "--s-mode", "exhaustive", "--s-limit", "1"]
+    )
+    assert code == 1
+    assert "content" in capsys.readouterr().err
+
+
 def test_verify_exhaustive_small(capsys):
     code = main(
         ["verify", "--degrees", "2,2", "--n", "2", "--nu-mode", "above-bound",

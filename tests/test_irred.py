@@ -3,12 +3,13 @@ import random
 import pytest
 
 from msubres.irred import (
+    _line_image,
     degree_pattern,
     irreducibility_verdict,
     power_form,
 )
 from msubres.polyring import Polynomial, VarUniverse, divides
-from oracles import sympy_factor_degrees, sympy_is_irreducible
+from oracles import line_image_by_convolution, sympy_factor_degrees, sympy_is_irreducible
 
 U = VarUniverse(["x", "y", "z"], {"g": ["x", "y", "z"]})
 X = Polynomial.variable(U, "x")
@@ -34,6 +35,19 @@ def test_power_form_negative_even_power():
     det = X * Y - Z * Z
     base, k = power_form(-(det**2))
     assert k == 2 and (base == det or base == -det)
+
+
+def test_power_form_negative_odd_power():
+    det = X * Y - Z * Z
+    base, k = power_form(-(det**3))
+    assert k == 3 and (base == det or base == -det)
+
+
+def test_power_form_shared_leading_exponent_factor_is_not_a_power():
+    # the leading exponents (2, 2, 0) admit k = 2, but no square root exists
+    p = X * X * Y * Y + X * Y * Z * Z * 3 + Z**4
+    base, k = power_form(p)
+    assert k == 1 and base == p
 
 
 def test_power_form_huge_coefficients():
@@ -75,6 +89,40 @@ def test_degree_pattern_against_sympy():
             for fac, mult in f.factor_list()[1]:
                 expect.extend([fac.degree()] * mult)
             assert ours == sorted(expect), (coeffs, p)
+    # a leading coefficient that vanishes mod p degenerates f
+    assert degree_pattern([1, 1, 10007], 10007) is None
+
+
+def test_line_image_matches_convolution_oracle():
+    cases = [
+        # c * x^D on a = s, b = 0: the image coefficient meets the bound
+        (X**5 * 7, [(3, 0), (0, 0), (0, 0)]),
+        (X**3 * (10**30 + 1), [(0, 0), (0, 0), (-4, 0)]),
+        (Y**6 * -9, [(0, 0), (2, 0), (0, 0)]),
+        # every a_i = b_i = 0, with and without a constant term
+        (X * Y + 5, [(0, 0)] * 3),
+        (X * Y - Z, [(0, 0)] * 3),
+        # an image that vanishes, and one whose top degree cancels
+        (X - Y, [(2, 1), (2, 1), (5, 5)]),
+        (X * X - Y * Y + Z, [(1, 0), (1, 2), (3, 1)]),
+        # constants, zero included
+        (Polynomial.constant(U, -(10**30)), [(1, 2)] * 3),
+        (Polynomial.zero(U), [(1, 2)] * 3),
+    ]
+    rng = random.Random(29)
+    for _ in range(600):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exp = tuple(rng.randint(0, 3) for _ in range(3))
+            big = rng.random() < 0.3
+            terms[exp] = rng.randint(-(10**30), 10**30) if big else rng.randint(-9, 9)
+        lines = [
+            tuple(0 if rng.random() < 0.25 else rng.randint(-20, 20) for _ in range(2))
+            for _ in range(3)
+        ]
+        cases.append((Polynomial(U, terms), lines))
+    for p, lines in cases:
+        assert _line_image(p, lines) == line_image_by_convolution(p, lines), (str(p), lines)
 
 
 def test_verdict_reducible_has_dividing_witness():
@@ -109,6 +157,20 @@ def test_verdict_sum_of_two_squares():
     v = irreducibility_verdict(p, seed=2)
     assert v.kind in ("irreducible", "inconclusive")
     assert sympy_is_irreducible(p)
+
+
+def test_verdict_reads_the_leading_term_once(monkeypatch):
+    calls = []
+    leading_term = Polynomial.leading_term
+
+    def counted(self):
+        calls.append(self)
+        return leading_term(self)
+
+    monkeypatch.setattr(Polynomial, "leading_term", counted)
+    v = irreducibility_verdict(X * Y - Z * Z, seed=1)
+    assert v.is_irreducible
+    assert len(calls) == 1
 
 
 def test_verdict_content_precondition():
